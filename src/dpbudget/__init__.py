@@ -5,9 +5,7 @@ __version__ = "0.1.0"
 
 from .accounting import (
     EpsDelta,
-    GaussianMech,
     PrivacyLedger,
-    SubsampledMech,
     amplified_strong_composition,
     basic_composition,
     budget_rho_for_dp,
@@ -33,14 +31,12 @@ from .schedules import (
 )
 from .nn import MlpModel
 from .data import Dataset, load_cancer_csv, rf_batches, rs_batch, synth_blobs
-from .dpsgd import TrainConfig, TrainReport, clip_gradient, noisy_mean_gradient, train
+from .dpsgd import TrainConfig, TrainReport, noisy_mean_gradient, train
 from .selection import exp_mechanism_select, partition_tune, selection_rho
 
 __all__ = [
     "EpsDelta",
-    "GaussianMech",
     "PrivacyLedger",
-    "SubsampledMech",
     "amplified_strong_composition",
     "basic_composition",
     "budget_rho_for_dp",
@@ -67,7 +63,6 @@ __all__ = [
     "synth_blobs",
     "TrainConfig",
     "TrainReport",
-    "clip_gradient",
     "noisy_mean_gradient",
     "train",
     "exp_mechanism_select",

@@ -52,47 +52,6 @@ class LedgerStep(NamedTuple):
     cost: float
 
 
-@dataclass(frozen=True)
-class GaussianMech:
-    """One Gaussian release: noise N(0, (sigma * sensitivity)^2 I)."""
-
-    sigma: float
-    sensitivity: float = 1.0
-
-    def __post_init__(self) -> None:
-        _check_sigma(self.sigma)
-        if self.sensitivity <= 0.0:
-            raise DomainError(f"sensitivity must be positive, got {self.sensitivity}")
-
-    @property
-    def rho(self) -> float:
-        return gaussian_rho(self.sigma)
-
-
-@dataclass(frozen=True)
-class SubsampledMech:
-    """A Gaussian release applied to a Bernoulli(q) subsample."""
-
-    q: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        _check_sigma(self.sigma)
-        if not (0.0 < self.q < 1.0):
-            raise DomainError(f"sampling ratio q must lie in (0, 1), got {self.q}")
-
-    @property
-    def rho_hat(self) -> float:
-        return self.q * self.q / (self.sigma * self.sigma)
-
-    @property
-    def order_cap(self) -> float:
-        return rs_order_cap(self.q, self.sigma)
-
-    def check_ratio(self) -> None:
-        check_rs_ratio(self.q, self.sigma)
-
-
 def _check_delta(delta: float) -> None:
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
@@ -294,13 +253,46 @@ class PrivacyLedger:
         self.steps.append(LedgerStep(epoch, iteration, q, sigma, cost))
         return self
 
+    def admit(
+        self,
+        sigma: float,
+        budget: float,
+        delta: float,
+        q: Optional[float] = None,
+        releases: int = 1,
+        epoch: Optional[int] = None,
+        iteration: Optional[int] = None,
+    ) -> bool:
+        """Charge ``releases`` Gaussian releases at noise scale ``sigma`` if the
+        spend after them fits ``budget``; otherwise change nothing.
+
+        In rf mode each release is one epoch and ``budget`` is a zCDP total
+        (compared with tolerance :data:`BUDGET_TOL`); in rs mode each release
+        is one iteration at sampling ratio ``q`` and ``budget`` is an eps total
+        at ``delta``.  Every release is recorded as its own step, so
+        :meth:`replay` stays exact.  Returns whether the charge was made.
+        """
+        if releases < 1:
+            raise DomainError(f"releases must be at least 1, got {releases}")
+        if self.mode == "rf":
+            cost = gaussian_rho(sigma)
+            if self.rho_sum + releases * cost > budget + BUDGET_TOL:
+                return False
+            for _ in range(releases):
+                self.charge_rf_epoch(sigma, epoch=epoch)
+            return True
+        check_rs_ratio(q, sigma)
+        cost = q * q / (sigma * sigma)
+        u_alpha = min(self.u_alpha_min, rs_order_cap(q, sigma))
+        if rs_eps(self.rho_hat + releases * cost, u_alpha, delta) > budget:
+            return False
+        for _ in range(releases):
+            self.charge_rs_iteration(q, sigma, epoch=epoch, iteration=iteration)
+        return True
+
     @property
     def total_rho(self) -> float:
         return self.rho_sum if self.mode == "rf" else self.rho_hat
-
-    def within_budget(self, rho_total: float, extra_cost: float = 0.0) -> bool:
-        """Whether the ledger plus an optional tentative charge fits a budget."""
-        return self.total_rho + extra_cost <= rho_total + BUDGET_TOL
 
     def to_dp(self, delta: float) -> EpsDelta:
         """Convert the cumulative cost to an (eps, delta) guarantee."""

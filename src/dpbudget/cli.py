@@ -16,6 +16,7 @@ Exit codes: 0 success (for ``train``: budget exhausted), 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -110,15 +111,18 @@ def _load_dataset(spec: dict) -> data.Dataset:
 
 
 def _train_config_from_dict(cfg: dict, schedule: schedules.NoiseSchedule) -> dpsgd.TrainConfig:
-    allowed = {
-        "clip_norm", "max_epochs", "seed", "batching", "batch_size", "q",
-        "iters_per_epoch", "rho_total", "eps_total", "delta", "lr", "lr_end",
-        "lr_ramp_epochs", "per_layer_clip",
-    }
+    allowed = {f.name for f in dataclasses.fields(dpsgd.TrainConfig)} - {"schedule"}
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown train keys: {sorted(unknown)}")
     return dpsgd.TrainConfig(schedule=schedule, **cfg)
+
+
+def _build_model(dataset: data.Dataset, spec: dict, seed: int) -> nn.MlpModel:
+    """MLP with the spec's ``model.hidden`` layers between the dataset's
+    features and (at least two) classes."""
+    hidden = spec.get("model", {}).get("hidden", [10, 20, 10])
+    return nn.MlpModel.init([dataset.n_features] + list(hidden) + [max(2, dataset.n_classes)], seed=seed)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -138,9 +142,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     else:
         train_set, test_set = dataset, None
 
-    hidden = cfg.get("model", {}).get("hidden", [10, 20, 10])
-    sizes = [train_set.n_features] + list(hidden) + [max(2, train_set.n_classes)]
-    model = nn.MlpModel.init(sizes, seed=config.seed)
+    model = _build_model(train_set, cfg, config.seed)
 
     report = dpsgd.train(config, train_set, model, test_data=test_set, validation_data=validation)
 
@@ -226,12 +228,10 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     base_train = dict(manifest["train"])
     eps = float(manifest["eps"])
     seed = int(manifest.get("seed", 0))
-    hidden = manifest.get("model", {}).get("hidden", [10, 20, 10])
 
     def train_candidate(index: int, portion: data.Dataset):
         config = _train_config_from_dict({**base_train, "seed": seed + 1 + index}, candidates[index])
-        sizes = [portion.n_features] + list(hidden) + [max(2, portion.n_classes)]
-        model = nn.MlpModel.init(sizes, seed=config.seed)
+        model = _build_model(portion, manifest, config.seed)
         dpsgd.train(config, portion, model)
         return lambda features: nn.predict(model, features)
 

@@ -55,22 +55,6 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class BatchPlan:
-    mode: str            # "rf" or "rs"
-    batch_size: Optional[int] = None  # rf
-    q: Optional[float] = None         # rs
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("rf", "rs"):
-            raise DomainError(f"batching mode must be 'rf' or 'rs', got {self.mode!r}")
-        if self.mode == "rf" and (self.batch_size is None or self.batch_size < 1):
-            raise DomainError("rf batching requires a positive batch_size")
-        if self.mode == "rs" and (self.q is None or not 0.0 < self.q < 1.0):
-            raise DomainError("rs batching requires q in (0, 1)")
-
-
 def load_cancer_csv(path: str) -> Dataset:
     """Load a file in the Wisconsin breast-cancer (original) format.
 

@@ -20,18 +20,10 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 
 from . import nn
-from .accounting import EpsDelta, PrivacyLedger, rs_eps, rs_order_cap, zcdp_to_dp
+from .accounting import EpsDelta, PrivacyLedger
 from .data import Dataset, rf_batches, rs_batch
-from .errors import ConfigError, DomainError, PreconditionError
+from .errors import ConfigError, DomainError, check_config_numbers
 from .schedules import NoiseSchedule, ValidationController, sigma_at
-
-
-def clip_gradient(g: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Rescale ``g`` to L2 norm at most ``clip_norm``: g / max(1, |g|/C)."""
-    if clip_norm <= 0.0:
-        raise DomainError(f"clip_norm must be positive, got {clip_norm}")
-    norm = float(np.linalg.norm(g))
-    return g / max(1.0, norm / clip_norm)
 
 
 def clip_rows(per_example: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -80,12 +72,11 @@ class TrainConfig:
     per_layer_clip: bool = False
 
     def __post_init__(self) -> None:
+        check_config_numbers(self)
         if self.batching not in ("rf", "rs"):
             raise ConfigError(f"batching must be 'rf' or 'rs', got {self.batching!r}")
         if self.clip_norm <= 0.0:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
-        if self.max_epochs < 0:
-            raise ConfigError(f"max_epochs must be nonnegative, got {self.max_epochs}")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         if self.batching == "rf" and self.rho_total is None:
@@ -154,13 +145,15 @@ def _noisy_update(
     config: TrainConfig,
     slices: List[slice],
     rng: np.random.Generator,
+    lot_size: float,
 ) -> None:
-    grads = nn.per_example_gradients(model, batch.features[indices], batch.labels[indices])
-    flat = nn.flatten_per_example(grads)
-    total = _clipped_sum(flat, config, slices)
-    if sigma > 0.0:
-        total = total + rng.normal(0.0, sigma * config.clip_norm, size=total.shape)
-    nn.sgd_step(model, nn.unflatten_gradient(model, total / len(indices)), lr)
+    """One release: clipped gradient sum plus Gaussian noise, divided by
+    ``lot_size``.  An empty batch still releases, as pure noise."""
+    total = rng.normal(0.0, sigma * config.clip_norm, size=model.n_params)
+    if len(indices):
+        grads = nn.per_example_gradients(model, batch.features[indices], batch.labels[indices])
+        total += _clipped_sum(nn.flatten_per_example(grads), config, slices)
+    nn.sgd_step(model, nn.unflatten_gradient(model, total / lot_size), lr)
 
 
 def train(
@@ -174,7 +167,8 @@ def train(
     rng = np.random.default_rng(config.seed)
     slices = _layer_slices(model)
     n = len(train_data)
-    n_layers = len(model.weights)
+    # Per-layer clipping makes one Gaussian release per layer on each batch.
+    releases = len(model.weights) if config.per_layer_clip else 1
 
     controller: Optional[ValidationController] = None
     if config.schedule.kind == "validation":
@@ -207,38 +201,25 @@ def train(
             sigma = sigma_at(config.schedule, epoch)
 
         if config.batching == "rf":
-            # Per-layer clipping releases one mechanism per layer on the same
-            # batch, so an epoch costs n_layers times the single-release rho.
-            epoch_cost = (n_layers if config.per_layer_clip else 1) / (2.0 * sigma * sigma)
-            if not ledger.within_budget(config.rho_total, extra_cost=epoch_cost):
+            if not ledger.admit(sigma, config.rho_total, config.delta, releases=releases, epoch=epoch):
                 stop_reason = "budget_exhausted"
                 break
-            for _ in range(n_layers if config.per_layer_clip else 1):
-                ledger.charge_rf_epoch(sigma, epoch=epoch)
-            batch_size = config.batch_size or n
-            for indices in rf_batches(n, batch_size, rng):
-                _noisy_update(model, train_data, indices, sigma, config.lr_at(epoch), config, slices, rng)
+            for indices in rf_batches(n, config.batch_size or n, rng):
+                _noisy_update(model, train_data, indices, sigma, config.lr_at(epoch), config, slices, rng, len(indices))
         else:
+            # Dividing by the expected lot size q n, not the sampled batch
+            # size, keeps the update's scale independent of the data.
+            lot_size = config.q * n
             iters = config.iters_per_epoch or max(1, round(1.0 / config.q))
-            stopped = False
             for it in range(iters):
-                if config.q > 1.0 / (16.0 * sigma):
-                    raise PreconditionError(
-                        f"rs step at epoch {epoch} violates q <= 1/(16 sigma): q={config.q}, sigma={sigma}"
-                    )
-                # Admit the charge only if the resulting spend stays in budget.
-                candidate_rho = ledger.rho_hat + config.q * config.q / (sigma * sigma)
-                candidate_u = min(ledger.u_alpha_min, rs_order_cap(config.q, sigma))
-                if rs_eps(candidate_rho, candidate_u, config.delta) > config.eps_total:
+                if not ledger.admit(
+                    sigma, config.eps_total, config.delta, q=config.q, releases=releases, epoch=epoch, iteration=it
+                ):
                     stop_reason = "budget_exhausted"
-                    stopped = True
                     break
-                ledger.charge_rs_iteration(config.q, sigma, epoch=epoch, iteration=it)
                 indices = rs_batch(n, config.q, rng)
-                if len(indices) == 0:
-                    continue
-                _noisy_update(model, train_data, indices, sigma, config.lr_at(epoch), config, slices, rng)
-            if stopped:
+                _noisy_update(model, train_data, indices, sigma, config.lr_at(epoch), config, slices, rng, lot_size)
+            if stop_reason == "budget_exhausted":
                 break
 
         snapshot(epoch, sigma)
@@ -246,16 +227,11 @@ def train(
             val_acc = records[-1].val_acc
             controller.observe(val_acc)
 
-    if config.batching == "rf":
-        final = zcdp_to_dp(ledger.rho_sum, config.delta)
-    else:
-        final = ledger.to_dp(config.delta) if ledger.steps else EpsDelta(0.0, config.delta)
-
     return TrainReport(
         epochs_run=len(records),
         records=records,
         stop_reason=stop_reason,
-        final_privacy=final,
+        final_privacy=ledger.to_dp(config.delta) if ledger.steps else EpsDelta(0.0, config.delta),
         total_rho=ledger.total_rho,
         seed=config.seed,
         ledger=ledger,

@@ -1,7 +1,12 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the check that turns
+bad config numbers into :class:`ConfigError`.
 
 The CLI maps these onto exit codes; see ``dpbudget.cli``.
 """
+
+import dataclasses
+import math
+import numbers
 
 
 class DomainError(ValueError):
@@ -26,6 +31,20 @@ class NumericalError(RuntimeError):
 
 class ConfigError(ValueError):
     """A schedule or run configuration is internally inconsistent."""
+
+
+def check_config_numbers(config) -> None:
+    """Raise :class:`ConfigError` unless every numeric field of the dataclass
+    ``config`` that is set holds a finite nonnegative number, and an integer
+    where the field is annotated ``int``."""
+    for f in dataclasses.fields(config):
+        kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type.removeprefix("Optional[").rstrip("]"))
+        value = getattr(config, f.name)
+        if kind is None or value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, kind) or not 0 <= value < math.inf:
+            noun = "integer" if kind is numbers.Integral else "number"
+            raise ConfigError(f"{f.name} must be a finite nonnegative {noun}, got {value!r}")
 
 
 class ParseError(ValueError):

@@ -107,12 +107,6 @@ def subsampled_renyi_divergence(
     return _log_renyi_power(float(q), float(sigma), float(alpha), bool(reverse)) / (alpha - 1.0)
 
 
-def divergence_curve(
-    q: float, sigma: float, alphas: Sequence[float], reverse: bool = False
-) -> np.ndarray:
-    return np.array([subsampled_renyi_divergence(q, sigma, a, reverse) for a in alphas])
-
-
 def divergence_changepoint(q: float, sigma: float, alpha_max: int = 200) -> int:
     """First integer order at which the divergence-vs-order curve takes off.
 

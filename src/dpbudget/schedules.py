@@ -20,10 +20,10 @@ noise multiplier ``sigma_t``.  Five families are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
-from .errors import ConfigError, InfeasibleTargetError, UsageError
+from .errors import ConfigError, InfeasibleTargetError, UsageError, check_config_numbers
 from .accounting import BUDGET_TOL, gaussian_rho
 
 DECAY_KINDS = ("time", "exp", "step", "poly")
@@ -42,32 +42,21 @@ class NoiseSchedule:
     per_period: bool = False  # time/exp only: decay on floor(t/period)
 
     def __post_init__(self) -> None:
+        check_config_numbers(self)
         if self.kind not in KINDS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        if not (self.sigma0 > 0.0 and math.isfinite(self.sigma0)):
+        if self.sigma0 <= 0.0:
             raise ConfigError(f"sigma0 must be positive, got {self.sigma0}")
-        if self.kind in ("time", "exp"):
-            if self.k is None or self.k <= 0.0:
-                raise ConfigError(f"{self.kind} decay requires k > 0, got {self.k}")
-            if self.per_period and (self.period is None or self.period < 1):
-                raise ConfigError("per-period decay requires a positive period")
-        if self.kind == "step":
-            if self.k is None or not (0.0 < self.k < 1.0):
-                raise ConfigError(f"step decay requires 0 < k < 1, got {self.k}")
-            if self.period is None or self.period < 1:
-                raise ConfigError("step decay requires a positive period")
-        if self.kind == "poly":
-            if self.k is None or self.k <= 0.0:
-                raise ConfigError(f"poly decay requires k > 0, got {self.k}")
-            if self.period is None or self.period < 1:
-                raise ConfigError("poly decay requires a positive period")
-            if self.sigma_end is None or not (0.0 < self.sigma_end < self.sigma0):
-                raise ConfigError("poly decay requires 0 < sigma_end < sigma0")
+        if self.kind == "uniform":
+            return
+        k_max = 1.0 if self.kind in ("step", "validation") else math.inf
+        if self.k is None or not 0.0 < self.k < k_max:
+            raise ConfigError(f"{self.kind} decay requires 0 < k < {k_max}, got {self.k}")
+        if (self.per_period or self.kind not in ("time", "exp")) and (self.period is None or self.period < 1):
+            raise ConfigError(f"{self.kind} decay requires a positive period")
+        if self.kind == "poly" and (self.sigma_end is None or not 0.0 < self.sigma_end < self.sigma0):
+            raise ConfigError("poly decay requires 0 < sigma_end < sigma0")
         if self.kind == "validation":
-            if self.k is None or not (0.0 < self.k < 1.0):
-                raise ConfigError(f"validation decay requires 0 < k < 1, got {self.k}")
-            if self.period is None or self.period < 1:
-                raise ConfigError("validation decay requires a positive checking period")
             if self.m is None or self.m < 1 or self.m > self.period:
                 raise ConfigError("validation decay requires 1 <= m <= period")
             if self.delta_thresh is None:
@@ -85,18 +74,12 @@ class NoiseSchedule:
 
     @staticmethod
     def from_dict(d: dict) -> "NoiseSchedule":
-        allowed = {"kind", "sigma0", "k", "period", "sigma_end", "delta_thresh", "m", "per_period"}
-        unknown = set(d) - allowed
+        unknown = set(d) - {f.name for f in fields(NoiseSchedule)}
         if unknown:
             raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
         if "kind" not in d or "sigma0" not in d:
             raise ConfigError("schedule config requires 'kind' and 'sigma0'")
-        kwargs = dict(d)
-        if "period" in kwargs:
-            kwargs["period"] = int(kwargs["period"])
-        if "m" in kwargs:
-            kwargs["m"] = int(kwargs["m"])
-        return NoiseSchedule(**kwargs)
+        return NoiseSchedule(**d)
 
 
 def uniform(sigma0: float) -> NoiseSchedule:

@@ -240,24 +240,38 @@ class TestAmplification:
         assert got.eps == pytest.approx(0.7, rel=1e-12)
 
 
-class TestMechanismTypes:
-    def test_gaussian_mech(self):
-        mech = accounting.GaussianMech(6.0)
-        assert mech.rho == accounting.gaussian_rho(6.0)
-        with pytest.raises(DomainError):
-            accounting.GaussianMech(0.0)
-        with pytest.raises(DomainError):
-            accounting.GaussianMech(6.0, sensitivity=-1.0)
+class TestAdmit:
+    @pytest.mark.parametrize("mode,q", [("rf", None), ("rs", 0.01)])
+    def test_refused_admit_changes_nothing(self, mode, q):
+        ledger = PrivacyLedger(mode)
+        assert ledger.admit(6.0, 1.0, 1e-5, q=q, epoch=0)
+        spent = ledger.total_rho if mode == "rf" else ledger.to_dp(1e-5).eps
+        before = (ledger.rho_sum, ledger.rho_hat, ledger.u_alpha_min, list(ledger.steps))
+        # a smaller sigma would also lower the rs order cap if it were charged
+        assert not ledger.admit(5.0, spent, 1e-5, q=q, epoch=1)
+        assert (ledger.rho_sum, ledger.rho_hat, ledger.u_alpha_min, ledger.steps) == before
 
-    def test_subsampled_mech(self):
-        mech = accounting.SubsampledMech(0.01, 6.0)
-        assert mech.rho_hat == pytest.approx(0.01 ** 2 / 36.0)
-        assert mech.order_cap == accounting.rs_order_cap(0.01, 6.0)
-        mech.check_ratio()  # 0.01 <= 1/96
-        with pytest.raises(PreconditionError):
-            accounting.SubsampledMech(0.02, 6.0).check_ratio()
+    def test_all_releases_must_fit(self):
+        ledger = PrivacyLedger("rf")
+        budget = 2.5 * accounting.gaussian_rho(6.0)
+        assert not ledger.admit(6.0, budget, 1e-5, releases=3)
+        assert ledger.admit(6.0, budget, 1e-5, releases=2, epoch=0)
+        assert ledger.steps == [accounting.LedgerStep(0, None, None, 6.0, accounting.gaussian_rho(6.0))] * 2
+
+    def test_rs_releases_are_separate_steps(self):
+        ledger = PrivacyLedger("rs")
+        assert ledger.admit(6.0, 1.0, 1e-5, q=0.01, releases=3, epoch=0, iteration=4)
+        assert ledger.steps == [accounting.LedgerStep(0, 4, 0.01, 6.0, 0.01 ** 2 / 36.0)] * 3
+        assert ledger.u_alpha_min == accounting.rs_order_cap(0.01, 6.0)
+        assert ledger.replay().rho_hat == ledger.rho_hat
+
+    def test_validates_sigma_ratio_and_releases(self):
         with pytest.raises(DomainError):
-            accounting.SubsampledMech(1.5, 6.0)
+            PrivacyLedger("rf").admit(float("nan"), 1.0, 1e-5)
+        with pytest.raises(PreconditionError):
+            PrivacyLedger("rs").admit(6.0, 10.0, 1e-5, q=0.02)  # 0.02 > 1/96
+        with pytest.raises(DomainError):
+            PrivacyLedger("rf").admit(6.0, 1.0, 1e-5, releases=0)
 
 
 class TestAccountantShapes:

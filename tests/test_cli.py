@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -167,6 +168,27 @@ class TestTrainCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"data": {"kind": "nope"}}))
         assert run(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "section,override",
+        [
+            ("train", {"rho_total": -1}),
+            ("schedule", {"k": "0.01"}),
+            ("train", {"max_epochs": 2.5}),
+            ("train", {"lr": -1}),
+            ("train", {"batching": "rs", "q": 0.005, "eps_total": math.inf}),
+            ("train", {"clip_norm": math.nan}),
+            ("schedule", {"k": math.nan}),
+        ],
+    )
+    def test_invalid_value_exits_2(self, tmp_path, cancer_file, section, override):
+        path = self.make_config(tmp_path, cancer_file, {"kind": "exp", "sigma0": 10.0, "k": 0.01})
+        with open(path) as fh:
+            cfg = json.load(fh)
+        cfg[section].update(override)
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)  # writes NaN and Infinity as JSON extensions
+        assert run(["train", "--config", path, "--out", str(tmp_path / "bad")]) == 2
 
     def test_validation_schedule_with_split(self, tmp_path, cancer_file):
         cfg = {

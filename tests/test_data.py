@@ -121,20 +121,6 @@ class TestRsBatch:
             data.rs_batch(10, 0.0, np.random.default_rng(0))
 
 
-class TestBatchPlan:
-    def test_valid_plans(self):
-        data.BatchPlan("rf", batch_size=600, seed=1)
-        data.BatchPlan("rs", q=0.01, seed=2)
-
-    def test_invalid_plans(self):
-        with pytest.raises(DomainError):
-            data.BatchPlan("rf", seed=0)
-        with pytest.raises(DomainError):
-            data.BatchPlan("rs", q=1.5, seed=0)
-        with pytest.raises(DomainError):
-            data.BatchPlan("shuffled", batch_size=10, seed=0)
-
-
 class TestSynthBlobs:
     def test_deterministic(self):
         a = data.synth_blobs(200, 2, 2, seed=9)

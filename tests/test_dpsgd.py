@@ -2,32 +2,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpbudget import data, nn, schedules
-from dpbudget.dpsgd import TrainConfig, clip_gradient, clip_rows, noisy_mean_gradient, train
+from dpbudget.accounting import BUDGET_TOL
+from dpbudget.dpsgd import TrainConfig, clip_rows, noisy_mean_gradient, train
 from dpbudget.errors import ConfigError, DomainError, PreconditionError
 
 
 class TestClipGradient:
     def test_scales_down(self):
-        g = np.zeros(16)
-        g[0] = 8.0
-        clipped = clip_gradient(g, 4.0)
+        g = np.zeros((1, 16))
+        g[0, 0] = 8.0
+        clipped = clip_rows(g, 4.0)
         assert np.linalg.norm(clipped) == pytest.approx(4.0, rel=1e-12)
         assert np.allclose(clipped, g / 2.0)
 
     def test_short_vector_unchanged(self):
-        g = np.array([3.0, 0.0])
-        assert np.array_equal(clip_gradient(g, 4.0), g)
+        g = np.array([[3.0, 0.0]])
+        assert np.array_equal(clip_rows(g, 4.0), g)
 
     def test_zero_vector(self):
-        assert np.array_equal(clip_gradient(np.zeros(5), 1.0), np.zeros(5))
+        assert np.array_equal(clip_rows(np.zeros((1, 5)), 1.0), np.zeros((1, 5)))
 
     def test_scaling_invariance_above_threshold(self):
-        g = np.random.default_rng(0).normal(size=12)
+        g = np.random.default_rng(0).normal(size=(1, 12))
         g = 10.0 * g / np.linalg.norm(g)
-        a = clip_gradient(g, 2.0)
-        b = clip_gradient(3.7 * g, 2.0)
+        a = clip_rows(g, 2.0)
+        b = clip_rows(3.7 * g, 2.0)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_rows(self):
@@ -38,7 +40,7 @@ class TestClipGradient:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            clip_gradient(np.ones(3), 0.0)
+            clip_rows(np.ones((1, 3)), 0.0)
 
 
 class TestNoisyMeanGradient:
@@ -263,6 +265,40 @@ class TestTrainRs:
         replayed = report.ledger.replay()
         assert replayed.rho_hat == report.total_rho
 
+    def test_per_layer_clip_charges_per_layer(self):
+        ds = small_blobs()
+        config = TrainConfig(
+            schedule=schedules.uniform(6.0),
+            clip_norm=1.0,
+            max_epochs=1,
+            seed=10,
+            batching="rs",
+            q=0.01,
+            iters_per_epoch=100,
+            eps_total=10.0,
+            per_layer_clip=True,
+        )
+        report = train(config, ds, nn.MlpModel.init([2, 8, 8, 2], seed=10))
+        assert report.epochs_run == 1
+        assert len(report.ledger.steps) == 3 * 100  # 3 layers, 100 iterations
+        assert report.total_rho == pytest.approx(3 * 100 * 0.01 ** 2 / 36.0, rel=1e-12)
+
+    def test_empty_batch_releases_noise_over_expected_lot_size(self):
+        ds = data.synth_blobs(20, 2, 2, seed=0)
+        q, sigma, lr, seed = 0.001, 4.0, 0.05, 3
+        config = TrainConfig(
+            schedule=schedules.uniform(sigma), clip_norm=1.0, max_epochs=1, seed=seed,
+            batching="rs", q=q, iters_per_epoch=1, eps_total=10.0, lr=lr,
+        )
+        model = nn.MlpModel.init([2, 4, 2], seed=0)
+        before = flat_params(model)
+        # replay the trainer's generator: the batch is drawn first, then the noise
+        rng = np.random.default_rng(seed)
+        assert len(data.rs_batch(len(ds), q, rng)) == 0
+        noise = rng.normal(0.0, sigma * config.clip_norm, size=model.n_params)
+        train(config, ds, model)
+        np.testing.assert_allclose(flat_params(model), before - lr * noise / (q * len(ds)), rtol=1e-14, atol=0)
+
     def test_ratio_precondition_aborts(self):
         ds = small_blobs()
         config = TrainConfig(
@@ -277,6 +313,66 @@ class TestTrainRs:
         )
         with pytest.raises(PreconditionError):
             train(config, ds, nn.MlpModel.init([2, 8, 2], seed=9))
+
+
+def flat_params(model):
+    return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(model.weights, model.biases)])
+
+
+def assert_replay_exact(ledger):
+    replayed = ledger.replay()
+    assert (replayed.rho_sum, replayed.rho_hat, replayed.u_alpha_min, replayed.steps) == (
+        ledger.rho_sum, ledger.rho_hat, ledger.u_alpha_min, ledger.steps
+    )
+
+
+def schedule_of(kind, sigma0):
+    return schedules.uniform(sigma0) if kind == "uniform" else schedules.exp_decay(sigma0, 0.1)
+
+
+SPEND_BLOBS = data.synth_blobs(30, 2, 2, seed=1)
+
+
+class TestSpendProperties:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(["uniform", "exp"]),
+        sigma0=st.floats(0.5, 20.0),
+        rho_total=st.floats(0.0, 1.0),
+        batch_size=st.integers(1, len(SPEND_BLOBS)),
+        per_layer_clip=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_rf_spend_within_budget(self, kind, sigma0, rho_total, batch_size, per_layer_clip, seed):
+        config = TrainConfig(
+            schedule=schedule_of(kind, sigma0), clip_norm=1.0, max_epochs=4, seed=seed,
+            rho_total=rho_total, batch_size=batch_size, per_layer_clip=per_layer_clip,
+        )
+        report = train(config, SPEND_BLOBS, nn.MlpModel.init([2, 4, 2], seed=seed))
+        assert report.ledger.rho_sum <= rho_total + BUDGET_TOL
+        assert len(report.ledger.steps) == (2 if per_layer_clip else 1) * report.epochs_run
+        assert_replay_exact(report.ledger)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        kind=st.sampled_from(["uniform", "exp"]),
+        sigma0=st.floats(1.0, 10.0),
+        q_frac=st.floats(0.05, 1.0),
+        eps_total=st.floats(0.0, 2.0),
+        per_layer_clip=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_rs_spend_within_budget(self, kind, sigma0, q_frac, eps_total, per_layer_clip, seed):
+        config = TrainConfig(
+            schedule=schedule_of(kind, sigma0), clip_norm=1.0, max_epochs=3, seed=seed,
+            batching="rs", q=q_frac / (16.0 * sigma0), iters_per_epoch=10, eps_total=eps_total,
+            per_layer_clip=per_layer_clip,
+        )
+        report = train(config, SPEND_BLOBS, nn.MlpModel.init([2, 4, 2], seed=seed))
+        assert report.final_privacy.eps <= eps_total
+        iterations = {(step.epoch, step.iteration) for step in report.ledger.steps}
+        assert len(report.ledger.steps) == (2 if per_layer_clip else 1) * len(iterations)
+        assert_replay_exact(report.ledger)
 
 
 class TestConfigValidation:

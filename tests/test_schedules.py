@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dpbudget import accounting
 from dpbudget.errors import ConfigError, InfeasibleTargetError, UsageError
@@ -156,15 +157,24 @@ class TestExhaustion:
     def test_budget_table(self, sched, expected):
         assert epochs_until_exhaustion(sched, BUDGET) == expected
 
-    def test_ledger_consistency(self):
-        sched = step_decay(10.0, 0.6, 10)
-        horizon = epochs_until_exhaustion(sched, BUDGET)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["exp", "step"]),
+        sigma0=st.floats(2.0, 20.0),
+        k=st.floats(0.001, 0.9),
+        period=st.integers(1, 20),
+        rho_total=st.floats(0.0, 2.0),
+    )
+    @example(kind="step", sigma0=10.0, k=0.6, period=10, rho_total=BUDGET)
+    def test_ledger_consistency(self, kind, sigma0, k, period, rho_total):
+        # the solver's closed-loop horizon is the number of epochs the
+        # trainer's admission path accepts
+        sched = exp_decay(sigma0, k) if kind == "exp" else step_decay(sigma0, k, period)
         ledger = accounting.PrivacyLedger("rf")
         epoch = 0
-        while ledger.within_budget(BUDGET, extra_cost=accounting.gaussian_rho(sigma_at(sched, epoch))):
-            ledger.charge_rf_epoch(sigma_at(sched, epoch), epoch=epoch)
+        while ledger.admit(sigma_at(sched, epoch), rho_total, 1e-5, epoch=epoch):
             epoch += 1
-        assert epoch == horizon
+        assert epoch == epochs_until_exhaustion(sched, rho_total)
 
     def test_validation_kind_rejected(self):
         with pytest.raises(UsageError):
