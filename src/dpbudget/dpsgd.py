@@ -14,6 +14,7 @@ reproduces its report bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional
 
@@ -22,17 +23,29 @@ import numpy as np
 from . import nn
 from .accounting import EpsDelta, PrivacyLedger
 from .data import Dataset, rf_batches, rs_batch
-from .errors import ConfigError, DomainError, check_config_numbers
+from .errors import ConfigError, DomainError, check_config_fields
 from .schedules import NoiseSchedule, ValidationController, sigma_at
+
+
+def _clip_factors(sq_norms: np.ndarray, clip_norm: float) -> np.ndarray:
+    """min(1, C / |g|) for each squared gradient norm |g|^2."""
+    return clip_norm / np.maximum(np.sqrt(sq_norms), clip_norm)
+
+
+def _gaussian_noise(rng: np.random.Generator, sigma: float, clip_norm: float, size: int) -> np.ndarray:
+    """One draw of N(0, (sigma C)^2 I): the noise of one Gaussian release."""
+    if not 0.0 < clip_norm < math.inf:
+        raise DomainError(f"clip_norm must be positive and finite, got {clip_norm}")
+    if not 0.0 <= sigma < math.inf:
+        raise DomainError(f"sigma must be finite and nonnegative, got {sigma}")
+    return rng.normal(0.0, sigma * clip_norm, size=size)
 
 
 def clip_rows(per_example: np.ndarray, clip_norm: float) -> np.ndarray:
     """Row-wise clipping of an (n_examples, n_params) gradient matrix."""
-    if clip_norm <= 0.0:
-        raise DomainError(f"clip_norm must be positive, got {clip_norm}")
-    norms = np.linalg.norm(per_example, axis=1)
-    scale = np.minimum(1.0, clip_norm / np.maximum(norms, np.finfo(np.float64).tiny))
-    return per_example * scale[:, None]
+    if not 0.0 < clip_norm < math.inf:
+        raise DomainError(f"clip_norm must be positive and finite, got {clip_norm}")
+    return per_example * _clip_factors((per_example * per_example).sum(axis=1), clip_norm)[:, None]
 
 
 def noisy_mean_gradient(
@@ -47,10 +60,45 @@ def noisy_mean_gradient(
         raise DomainError("per_example must be a nonempty (n, params) matrix")
     if batch_size < 1:
         raise DomainError(f"batch_size must be positive, got {batch_size}")
-    total = clip_rows(per_example, clip_norm).sum(axis=0)
-    if sigma > 0.0:
-        total = total + rng.normal(0.0, sigma * clip_norm, size=total.shape)
+    total = _gaussian_noise(rng, sigma, clip_norm, per_example.shape[1])
+    total += clip_rows(per_example, clip_norm).sum(axis=0)
     return total / batch_size
+
+
+def noisy_clipped_sum(
+    model: nn.MlpModel,
+    x: np.ndarray,
+    labels: np.ndarray,
+    clip_norm: float,
+    sigma: float,
+    per_layer: bool,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Sum of the batch's clipped per-example gradients plus N(0, (sigma C)^2 I),
+    as one vector in ``model.params`` order (W0, b0, W1, b1, ...).
+
+    Each example's gradient is clipped to norm C as a whole, or layer by
+    layer when ``per_layer``.  Norms and sums come from the layers' inputs a
+    and backprop signals d (ghost clipping: |g_l|^2 = (|a|^2 + 1) |d|^2 and
+    the clipped sum is a.T @ (d s)), so no per-example gradient is formed.
+    An empty batch releases the noise alone.
+    """
+    total = _gaussian_noise(rng, sigma, clip_norm, model.n_params)
+    if len(x) == 0:
+        return total
+    inputs, signals = nn.backprop_signals(model, x, labels)
+    sq_norms = np.array(
+        [(np.einsum("ij,ij->i", a, a) + 1.0) * np.einsum("ij,ij->i", d, d) for a, d in zip(inputs, signals)]
+    )
+    if per_layer:
+        factors = _clip_factors(sq_norms, clip_norm)
+    else:
+        factors = [_clip_factors(sq_norms.sum(axis=0), clip_norm)] * len(sq_norms)
+    clipped = []
+    for a, d, s in zip(inputs, signals, factors):
+        clipped += [(a.T @ (d * s[:, None])).ravel(), s @ d]
+    total += np.concatenate(clipped)
+    return total
 
 
 @dataclass(frozen=True)
@@ -72,7 +120,7 @@ class TrainConfig:
     per_layer_clip: bool = False
 
     def __post_init__(self) -> None:
-        check_config_numbers(self)
+        check_config_fields(self)
         if self.batching not in ("rf", "rs"):
             raise ConfigError(f"batching must be 'rf' or 'rs', got {self.batching!r}")
         if self.clip_norm <= 0.0:
@@ -117,25 +165,6 @@ class TrainReport:
     ledger: PrivacyLedger = field(repr=False, default=None)
 
 
-def _layer_slices(model: nn.MlpModel) -> List[slice]:
-    slices = []
-    offset = 0
-    for w, b in zip(model.weights, model.biases):
-        size = w.size + b.size
-        slices.append(slice(offset, offset + size))
-        offset += size
-    return slices
-
-
-def _clipped_sum(flat: np.ndarray, config: TrainConfig, slices: List[slice]) -> np.ndarray:
-    if not config.per_layer_clip:
-        return clip_rows(flat, config.clip_norm).sum(axis=0)
-    out = np.empty(flat.shape[1])
-    for s in slices:
-        out[s] = clip_rows(flat[:, s], config.clip_norm).sum(axis=0)
-    return out
-
-
 def _noisy_update(
     model: nn.MlpModel,
     batch: Dataset,
@@ -143,17 +172,15 @@ def _noisy_update(
     sigma: float,
     lr: float,
     config: TrainConfig,
-    slices: List[slice],
     rng: np.random.Generator,
     lot_size: float,
 ) -> None:
-    """One release: clipped gradient sum plus Gaussian noise, divided by
-    ``lot_size``.  An empty batch still releases, as pure noise."""
-    total = rng.normal(0.0, sigma * config.clip_norm, size=model.n_params)
-    if len(indices):
-        grads = nn.per_example_gradients(model, batch.features[indices], batch.labels[indices])
-        total += _clipped_sum(nn.flatten_per_example(grads), config, slices)
-    nn.sgd_step(model, nn.unflatten_gradient(model, total / lot_size), lr)
+    """One release on ``batch[indices]``, divided by ``lot_size``, applied as
+    one in-place step on the flat parameters."""
+    total = noisy_clipped_sum(
+        model, batch.features[indices], batch.labels[indices], config.clip_norm, sigma, config.per_layer_clip, rng
+    )
+    model.params -= lr * (total / lot_size)
 
 
 def train(
@@ -165,7 +192,6 @@ def train(
 ) -> TrainReport:
     """Run budget-checked DP-SGD; the model is updated in place."""
     rng = np.random.default_rng(config.seed)
-    slices = _layer_slices(model)
     n = len(train_data)
     # Per-layer clipping makes one Gaussian release per layer on each batch.
     releases = len(model.weights) if config.per_layer_clip else 1
@@ -205,7 +231,7 @@ def train(
                 stop_reason = "budget_exhausted"
                 break
             for indices in rf_batches(n, config.batch_size or n, rng):
-                _noisy_update(model, train_data, indices, sigma, config.lr_at(epoch), config, slices, rng, len(indices))
+                _noisy_update(model, train_data, indices, sigma, config.lr_at(epoch), config, rng, len(indices))
         else:
             # Dividing by the expected lot size q n, not the sampled batch
             # size, keeps the update's scale independent of the data.
@@ -218,7 +244,7 @@ def train(
                     stop_reason = "budget_exhausted"
                     break
                 indices = rs_batch(n, config.q, rng)
-                _noisy_update(model, train_data, indices, sigma, config.lr_at(epoch), config, slices, rng, lot_size)
+                _noisy_update(model, train_data, indices, sigma, config.lr_at(epoch), config, rng, lot_size)
             if stop_reason == "budget_exhausted":
                 break
 

@@ -1,5 +1,5 @@
 """Exception taxonomy shared across the package, and the check that turns
-bad config numbers into :class:`ConfigError`.
+bad config values into :class:`ConfigError`.
 
 The CLI maps these onto exit codes; see ``dpbudget.cli``.
 """
@@ -33,16 +33,21 @@ class ConfigError(ValueError):
     """A schedule or run configuration is internally inconsistent."""
 
 
-def check_config_numbers(config) -> None:
-    """Raise :class:`ConfigError` unless every numeric field of the dataclass
-    ``config`` that is set holds a finite nonnegative number, and an integer
-    where the field is annotated ``int``."""
+def check_config_fields(config) -> None:
+    """Raise :class:`ConfigError` unless every field of the dataclass
+    ``config`` annotated ``int``, ``float`` or ``bool`` holds a value of that
+    type: a finite nonnegative number (an integer for ``int``) or a boolean.
+    ``None`` is accepted only where the annotation is ``Optional``."""
     for f in dataclasses.fields(config):
-        kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type.removeprefix("Optional[").rstrip("]"))
+        optional = f.type.startswith("Optional[")
+        kind = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}.get(f.type.removeprefix("Optional[").rstrip("]"))
         value = getattr(config, f.name)
-        if kind is None or value is None:
+        if kind is None or (optional and value is None):
             continue
-        if isinstance(value, bool) or not isinstance(value, kind) or not 0 <= value < math.inf:
+        if kind is bool:
+            if not isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, kind) or not 0 <= value < math.inf:
             noun = "integer" if kind is numbers.Integral else "number"
             raise ConfigError(f"{f.name} must be a finite nonnegative {noun}, got {value!r}")
 

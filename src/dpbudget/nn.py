@@ -1,8 +1,10 @@
 """Small feed-forward classifier with exact per-example gradients.
 
 Deliberately minimal: dense layers with ReLU between them, logits out,
-softmax cross-entropy loss, float64 everywhere.  Per-example gradients are
-computed by batched backpropagation (no loops over examples), which is what
+softmax cross-entropy loss, float64 everywhere.  All parameters live in one
+flat vector, in checkpoint order (W0, b0, W1, b1, ...), so an update is one
+vector operation.  Batched backpropagation yields each layer's inputs and
+backprop signals for every example (no loops over examples), which is what
 the gradient-clipping step of DP-SGD needs.
 """
 
@@ -20,9 +22,14 @@ CHECKPOINT_MAGIC = "dpbudget-mlp 1"
 
 
 class MlpModel:
-    """Dense ReLU network; the final layer emits raw logits."""
+    """Dense ReLU network; the final layer emits raw logits.
 
-    def __init__(self, weights: List[np.ndarray], biases: List[np.ndarray]):
+    ``params`` holds every parameter in checkpoint order (W0, b0, W1, b1,
+    ...); ``weights[i]`` and ``biases[i]`` are views into it.  The
+    constructor copies its arguments.
+    """
+
+    def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
         if len(weights) != len(biases) or not weights:
             raise DomainError("weights and biases must be nonempty and aligned")
         for i, (w, b) in enumerate(zip(weights, biases)):
@@ -30,8 +37,15 @@ class MlpModel:
                 raise DomainError(f"layer {i} has inconsistent shapes {w.shape} / {b.shape}")
             if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
                 raise DomainError(f"layer {i} does not chain with layer {i - 1}")
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        self.params = np.concatenate([np.ravel(p) for w, b in zip(weights, biases) for p in (w, b)], dtype=np.float64)
+        self.weights: List[np.ndarray] = []
+        self.biases: List[np.ndarray] = []
+        offset = 0
+        for w in weights:
+            end = offset + w.size
+            self.weights.append(self.params[offset:end].reshape(w.shape))
+            self.biases.append(self.params[end:end + w.shape[1]])
+            offset = end + w.shape[1]
 
     @classmethod
     def init(cls, layer_sizes: Sequence[int], seed: int) -> "MlpModel":
@@ -52,10 +66,10 @@ class MlpModel:
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def copy(self) -> "MlpModel":
-        return MlpModel([w.copy() for w in self.weights], [b.copy() for b in self.biases])
+        return MlpModel(self.weights, self.biases)
 
 
 def _forward_trace(model: MlpModel, x: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
@@ -108,57 +122,50 @@ def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(predict(model, x) == labels))
 
 
-def per_example_gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> List[np.ndarray]:
-    """Exact per-example gradients of the softmax cross-entropy loss.
+def backprop_signals(
+    model: MlpModel, x: np.ndarray, labels: np.ndarray
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Each layer's inputs and backprop signals for a batch.
 
-    Returns one array per parameter in the order (W0, b0, W1, b1, ...), each
-    with a leading batch axis.
+    Returns ``(inputs, signals)``, one (n, fan_in) and one (n, fan_out)
+    array per layer: example i's loss gradient is ``outer(inputs[l][i],
+    signals[l][i])`` for W_l and ``signals[l][i]`` for b_l, so its squared
+    norm is ``(|inputs[l][i]|^2 + 1) |signals[l][i]|^2``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.atleast_1d(labels)
     if len(x) == 0:
-        raise DomainError("per-example gradients require a nonempty batch")
+        raise DomainError("backprop signals require a nonempty batch")
     if x.shape[1] != model.weights[0].shape[0]:
         raise DomainError(
             f"input dimension {x.shape[1]} does not match model fan-in {model.weights[0].shape[0]}"
         )
-    n = len(x)
     pre, act = _forward_trace(model, x)
     delta = softmax(act[-1])
-    delta[np.arange(n), labels] -= 1.0
+    delta[np.arange(len(x)), labels] -= 1.0
+    signals = [delta]
+    for layer in range(len(model.weights) - 1, 0, -1):
+        delta = (delta @ model.weights[layer].T) * (pre[layer - 1] > 0.0)
+        signals.append(delta)
+    return act[:-1], signals[::-1]
 
-    grads: List[np.ndarray] = [np.empty(0)] * (2 * len(model.weights))
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grads[2 * layer] = act[layer][:, :, None] * delta[:, None, :]
-        grads[2 * layer + 1] = delta
-        if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (pre[layer - 1] > 0.0)
+
+def per_example_gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> List[np.ndarray]:
+    """Exact per-example gradients of the softmax cross-entropy loss.
+
+    Returns one array per parameter in the order (W0, b0, W1, b1, ...), each
+    with a leading batch axis.  Training never builds these; they are the
+    outer-product reference for :func:`backprop_signals`.
+    """
+    grads: List[np.ndarray] = []
+    for a, delta in zip(*backprop_signals(model, x, labels)):
+        grads += [a[:, :, None] * delta[:, None, :], delta]
     return grads
 
 
 def mean_gradients(per_example: List[np.ndarray]) -> List[np.ndarray]:
     """Fixed-order mean over the batch axis (matches the whole-batch gradient)."""
     return [g.mean(axis=0) for g in per_example]
-
-
-def flatten_per_example(per_example: List[np.ndarray]) -> np.ndarray:
-    """Stack per-example gradients into an (n_examples, n_params) matrix."""
-    n = per_example[0].shape[0]
-    return np.concatenate([g.reshape(n, -1) for g in per_example], axis=1)
-
-
-def unflatten_gradient(model: MlpModel, vector: np.ndarray) -> List[np.ndarray]:
-    """Split a flat parameter-space vector back into (W, b) shaped arrays."""
-    if vector.size != model.n_params:
-        raise DomainError(f"vector has {vector.size} entries, model has {model.n_params} parameters")
-    out: List[np.ndarray] = []
-    offset = 0
-    for w, b in zip(model.weights, model.biases):
-        out.append(vector[offset:offset + w.size].reshape(w.shape))
-        offset += w.size
-        out.append(vector[offset:offset + b.size].reshape(b.shape))
-        offset += b.size
-    return out
 
 
 def sgd_step(model: MlpModel, gradients: List[np.ndarray], eta: float) -> MlpModel:
@@ -177,9 +184,7 @@ def save_checkpoint(model: MlpModel, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC.encode() + b"\n")
         fh.write(header.encode() + b"\n")
-        for w, b in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(w).tobytes())
-            fh.write(np.ascontiguousarray(b).tobytes())
+        fh.write(model.params.tobytes())
 
 
 def load_checkpoint(path: str) -> MlpModel:
@@ -192,15 +197,9 @@ def load_checkpoint(path: str) -> MlpModel:
         except (json.JSONDecodeError, KeyError) as exc:
             raise ParseError(f"bad checkpoint metadata: {exc}", line=2) from exc
         blob = fh.read()
-    weights, biases = [], []
-    offset = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = np.frombuffer(blob, dtype=np.float64, count=fan_in * fan_out, offset=offset)
-        offset += w.nbytes
-        b = np.frombuffer(blob, dtype=np.float64, count=fan_out, offset=offset)
-        offset += b.nbytes
-        weights.append(w.reshape(fan_in, fan_out).copy())
-        biases.append(b.copy())
-    if offset != len(blob):
+    shapes = list(zip(sizes[:-1], sizes[1:]))
+    if len(blob) != 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in shapes):
         raise ParseError("checkpoint payload does not match the declared shapes")
-    return MlpModel(weights, biases)
+    model = MlpModel([np.empty(shape) for shape in shapes], [np.empty(fan_out) for _, fan_out in shapes])
+    model.params[:] = np.frombuffer(blob, dtype=np.float64)
+    return model

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
-from .errors import ConfigError, InfeasibleTargetError, UsageError, check_config_numbers
+from .errors import ConfigError, InfeasibleTargetError, UsageError, check_config_fields
 from .accounting import BUDGET_TOL, gaussian_rho
 
 DECAY_KINDS = ("time", "exp", "step", "poly")
@@ -42,7 +42,7 @@ class NoiseSchedule:
     per_period: bool = False  # time/exp only: decay on floor(t/period)
 
     def __post_init__(self) -> None:
-        check_config_numbers(self)
+        check_config_fields(self)
         if self.kind not in KINDS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
         if self.sigma0 <= 0.0:

@@ -1,9 +1,14 @@
+import dataclasses
 import json
 import math
+import os
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dpbudget import accounting, cli, renyi
+from dpbudget.dpsgd import TrainConfig
+from dpbudget.schedules import NoiseSchedule
 
 
 def run(argv):
@@ -224,6 +229,53 @@ class TestTrainCommand:
         path = tmp_path / "noval.json"
         path.write_text(json.dumps(cfg))
         assert run(["train", "--config", path.as_posix(), "--out", str(tmp_path / "x")]) == 2
+
+
+def config_keys(cls, skip=()):
+    """(key, annotation) for every field of a config dataclass."""
+    return [(f.name, f.type) for f in dataclasses.fields(cls) if f.name not in skip]
+
+
+INVALID_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, None, True, False, "1", "", [1.0], {"x": 1}]),
+    st.floats(max_value=-1e-300, allow_infinity=False),
+    st.integers(max_value=-1),
+)
+
+
+class TestInvalidTrainConfigs:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        section_key=st.one_of(
+            st.tuples(st.just("train"), st.sampled_from(config_keys(TrainConfig, skip={"schedule"}))),
+            st.tuples(st.just("schedule"), st.sampled_from(config_keys(NoiseSchedule))),
+        ),
+        value=INVALID_VALUES,
+        batching=st.sampled_from(["rf", "rs"]),
+    )
+    def test_invalid_value_exits_2(self, tmp_path_factory, section_key, value, batching):
+        section, (key, annotation) = section_key
+        # None is a valid Optional value, and a boolean a valid bool one
+        assume(not (value is None and annotation.startswith("Optional[")))
+        assume(not (isinstance(value, bool) and annotation == "bool"))
+        train = {"clip_norm": 1.0, "max_epochs": 2, "seed": 3, "lr": 0.1}
+        if batching == "rf":
+            train.update(rho_total=1.0)
+        else:
+            train.update(batching="rs", q=0.01, iters_per_epoch=5, eps_total=1.0)
+        cfg = {
+            "data": {"kind": "synth", "n": 40, "d": 2},
+            "model": {"hidden": [4]},
+            "schedule": {"kind": "exp", "sigma0": 4.0, "k": 0.1},
+            "train": train,
+        }
+        cfg[section][key] = value
+        workdir = tmp_path_factory.mktemp("invalid")
+        path, out = str(workdir / "config.json"), str(workdir / "run")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)  # writes NaN and Infinity as JSON extensions
+        assert run(["train", "--config", path, "--out", out]) == 2
+        assert not os.path.exists(out + ".json")
 
 
 class TestTuneCommand:

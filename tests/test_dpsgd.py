@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dpbudget import data, nn, schedules
+from dpbudget import data, dpsgd, nn, schedules
 from dpbudget.accounting import BUDGET_TOL
-from dpbudget.dpsgd import TrainConfig, clip_rows, noisy_mean_gradient, train
+from dpbudget.dpsgd import TrainConfig, clip_rows, noisy_clipped_sum, noisy_mean_gradient, train
 from dpbudget.errors import ConfigError, DomainError, PreconditionError
 
 
@@ -79,6 +79,88 @@ class TestNoisyMeanGradient:
     def test_empty_batch_rejected(self):
         with pytest.raises(DomainError):
             noisy_mean_gradient(np.empty((0, 3)), 1.0, 1.0, 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "clip_norm,sigma",
+        [(1.0, math.nan), (1.0, math.inf), (1.0, -math.inf), (1.0, -3.0),
+         (math.nan, 1.0), (math.inf, 1.0), (0.0, 1.0), (-1.0, 1.0)],
+    )
+    def test_invalid_noise_parameters_rejected(self, clip_norm, sigma):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError):
+            noisy_mean_gradient(np.ones((2, 3)), clip_norm, sigma, 2, rng)
+        model = nn.MlpModel.init([2, 3, 2], seed=0)
+        for n in (0, 2):  # an empty batch releases noise alone, and is checked alike
+            with pytest.raises(DomainError):
+                noisy_clipped_sum(model, np.ones((n, 2)), np.zeros(n, dtype=int), clip_norm, sigma, False, rng)
+
+
+def per_example_matrix(model, x, labels):
+    """Per-example gradients as the rows of one (n, params) matrix."""
+    grads = nn.per_example_gradients(model, x, labels)
+    return np.concatenate([g.reshape(len(x), -1) for g in grads], axis=1)
+
+
+def oracle_clipped_sum(model, x, labels, clip_norm, per_layer):
+    """The per-example matrix clipped row by row (per layer block when
+    ``per_layer``), then summed."""
+    flat = per_example_matrix(model, x, labels)
+    return np.concatenate([clip_rows(flat[:, s], clip_norm).sum(axis=0) for s in layer_blocks(model, per_layer)])
+
+
+def layer_blocks(model, per_layer):
+    """Column slices of the per-example matrix: one per layer, or one for the
+    whole model."""
+    sizes = [w.size + b.size for w, b in zip(model.weights, model.biases)]
+    if not per_layer:
+        return [slice(0, sum(sizes))]
+    edges = np.cumsum([0] + sizes)
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+class TestGhostClipping:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=2, max_size=5),
+        batch=st.integers(1, 64),
+        n_saturated=st.integers(0, 3),
+        clip_at=st.sampled_from(["below", "between", "above"]),
+        per_layer=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_example_oracle(self, sizes, batch, n_saturated, clip_at, per_layer, seed):
+        sizes[-1] = max(sizes[-1], 2)
+        model = nn.MlpModel.init(sizes, seed=seed)
+        model.params[:] += np.random.default_rng(seed).normal(0.0, 0.1, model.n_params)  # nonzero biases
+        rng = np.random.default_rng(seed + 1)
+        x = rng.normal(size=(batch, sizes[0]))
+        labels = rng.integers(0, sizes[-1], size=batch)
+        # A huge input labelled with its own prediction saturates the softmax
+        # to exactly one-hot (unless every unit of some layer is dead), which
+        # gives the row an exactly zero gradient.
+        k = min(n_saturated, batch)
+        x[:k] *= 1e6
+        labels[:k] = nn.predict(model, x[:k])
+
+        flat = per_example_matrix(model, x, labels)
+        norms = np.concatenate([np.linalg.norm(flat[:, s], axis=1) for s in layer_blocks(model, per_layer)])
+        positive = norms[norms > 0]
+        lo, hi = (positive.min(), positive.max()) if len(positive) else (1.0, 1.0)
+        clip_norm = {"below": 0.5 * lo, "between": math.sqrt(lo * hi), "above": 2.0 * hi}[clip_at]
+
+        want = oracle_clipped_sum(model, x, labels, clip_norm, per_layer)
+        got = noisy_clipped_sum(model, x, labels, clip_norm, 0.0, per_layer, np.random.default_rng(0))
+        # summation error scales with the summed terms, not with their sum
+        scale = np.minimum(norms, clip_norm).sum()
+        assert np.linalg.norm(got - want) <= 1e-12 * scale
+
+    def test_saturated_rows_have_zero_gradient(self):
+        model = nn.MlpModel.init([3, 5, 2], seed=4)
+        x = 1e6 * np.abs(np.random.default_rng(2).normal(size=(4, 3)))
+        labels = nn.predict(model, x)
+        assert all(np.all(g == 0.0) for g in nn.per_example_gradients(model, x, labels))
+        got = noisy_clipped_sum(model, x, labels, 1.0, 0.0, True, np.random.default_rng(0))
+        assert np.array_equal(got, np.zeros(model.n_params))
 
 
 def small_blobs():
@@ -373,6 +455,50 @@ class TestSpendProperties:
         iterations = {(step.epoch, step.iteration) for step in report.ledger.steps}
         assert len(report.ledger.steps) == (2 if per_layer_clip else 1) * len(iterations)
         assert_replay_exact(report.ledger)
+
+
+def per_example_update(model, batch, indices, sigma, lr, config, rng, lot_size):
+    """The trainer's update as it was before ghost clipping: noise first, then
+    the per-example gradient matrix clipped row by row, then one SGD step."""
+    total = rng.normal(0.0, sigma * config.clip_norm, size=model.n_params)
+    if len(indices):
+        x, labels = batch.features[indices], batch.labels[indices]
+        total += oracle_clipped_sum(model, x, labels, config.clip_norm, config.per_layer_clip)
+    step, grads, offset = total / lot_size, [], 0
+    for w, b in zip(model.weights, model.biases):
+        grads += [step[offset:offset + w.size].reshape(w.shape), step[offset + w.size:offset + w.size + b.size]]
+        offset += w.size + b.size
+    nn.sgd_step(model, grads, lr)
+
+
+class TestMatchesPerExampleUpdate:
+    @pytest.mark.parametrize("per_layer_clip", [False, True])
+    @pytest.mark.parametrize(
+        "batching",
+        [{"batch_size": None}, {"batch_size": 7}, {"batching": "rs", "q": 0.05, "iters_per_epoch": 20}],
+        ids=["rf-full", "rf-7", "rs"],
+    )
+    def test_same_stream_same_parameters(self, monkeypatch, batching, per_layer_clip):
+        ds = small_blobs()
+        budget = {"eps_total": 50.0} if "q" in batching else {"rho_total": 50.0}
+        config = TrainConfig(
+            schedule=schedules.exp_decay(1.0, 0.1), clip_norm=0.5, max_epochs=4, seed=21, lr=0.2,
+            per_layer_clip=per_layer_clip, **batching, **budget,
+        )
+
+        def run():
+            model = nn.MlpModel.init([2, 8, 6, 2], seed=21)
+            return model, train(config, ds, model)
+
+        ghost, ghost_report = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(dpsgd, "_noisy_update", per_example_update)
+            reference, reference_report = run()
+        assert np.linalg.norm(ghost.params - reference.params) <= 1e-10 * np.linalg.norm(reference.params)
+        assert ghost_report.epochs_run == reference_report.epochs_run == 4
+        assert ghost_report.ledger.steps == reference_report.ledger.steps
+        assert ghost_report.total_rho == reference_report.total_rho
+        assert ghost_report.final_privacy == reference_report.final_privacy
 
 
 class TestConfigValidation:

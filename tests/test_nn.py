@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -117,18 +118,6 @@ class TestPerExampleGradients:
         with pytest.raises(DomainError):
             nn.per_example_gradients(model, np.empty((0, 4)), np.empty(0, dtype=int))
 
-    def test_flatten_round_trip(self):
-        model = nn.MlpModel.init([5, 7, 3], seed=2)
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(4, 5))
-        y = rng.integers(0, 3, size=4)
-        grads = nn.per_example_gradients(model, x, y)
-        flat = nn.flatten_per_example(grads)
-        assert flat.shape == (4, model.n_params)
-        rebuilt = nn.unflatten_gradient(model, flat[2])
-        for a, b in zip(rebuilt, [g[2] for g in grads]):
-            assert np.array_equal(a, b)
-
 
 class TestSgdStep:
     def test_zero_eta_no_change(self):
@@ -170,6 +159,52 @@ class TestCheckpoint:
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint\n")
+        with pytest.raises(ParseError):
+            nn.load_checkpoint(str(path))
+
+
+class TestFlatStorage:
+    @staticmethod
+    def assert_views_in_order(model):
+        """Writing ``params`` must show through ``weights`` and ``biases`` in
+        checkpoint order (W0, b0, W1, b1, ...)."""
+        model.params[:] = np.arange(model.n_params)
+        seen = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(model.weights, model.biases)])
+        assert np.array_equal(seen, np.arange(model.n_params))
+
+    def test_init_copy_and_checkpoint_are_views(self, tmp_path):
+        model = nn.MlpModel.init([5, 7, 4, 3], seed=2)
+        path = str(tmp_path / "model.ckpt")
+        nn.save_checkpoint(model, path)
+        copied, loaded = model.copy(), nn.load_checkpoint(path)
+        for m in (model, copied, loaded):
+            self.assert_views_in_order(m)
+
+    def test_copy_and_constructor_do_not_alias(self):
+        model = nn.MlpModel.init([4, 6, 2], seed=3)
+        before = model.params.copy()
+        copied = model.copy()
+        built = nn.MlpModel(model.weights, model.biases)
+        assert not np.shares_memory(copied.params, model.params)
+        assert not np.shares_memory(built.params, model.params)
+        copied.params += 1.0
+        built.weights[0][0, 0] = 99.0
+        assert np.array_equal(model.params, before)
+
+    def test_checkpoint_bytes_layout(self, tmp_path):
+        model = nn.MlpModel.init([9, 10, 20, 10, 2], seed=8)
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(model, str(path))
+        want = b"dpbudget-mlp 1\n" + json.dumps({"layer_sizes": [9, 10, 20, 10, 2]}).encode() + b"\n"
+        for w, b in zip(model.weights, model.biases):
+            want += np.ascontiguousarray(w).tobytes() + np.ascontiguousarray(b).tobytes()
+        assert path.read_bytes() == want
+
+    def test_truncated_checkpoint_rejected(self, tmp_path):
+        model = nn.MlpModel.init([3, 2], seed=0)
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(model, str(path))
+        path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ParseError):
             nn.load_checkpoint(str(path))
 
