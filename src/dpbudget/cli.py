@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -69,12 +70,12 @@ def _cmd_account(args: argparse.Namespace) -> int:
     delta = args.delta
     sigma = args.sigma
     q = args.q
+    u_alpha = accounting.rs_order_cap(q, sigma)  # rejects a bad q or sigma first
     iters = args.iters_per_epoch if args.iters_per_epoch else max(1, round(1.0 / q))
 
     classic = accounting.classic_gaussian_dp(sigma, delta)
     per_epoch_rho = accounting.gaussian_rho(sigma)
-    u_alpha = accounting.rs_order_cap(q, sigma)
-    eps_ma = renyi.moments_accountant_curve(q, sigma, iters, args.epochs, delta) if args.epochs else []
+    eps_ma = renyi.moments_accountant_curve(q, sigma, iters, args.epochs, delta)
 
     rows: List[List[object]] = []
     for epoch in range(1, args.epochs + 1):
@@ -95,17 +96,27 @@ def _cmd_account(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _setting(section: str, spec: dict, key: str, default: object = None, integer: bool = True):
+    """``spec[key]`` (``default`` if absent), which must be a finite
+    nonnegative integer, or number if not ``integer``."""
+    value = spec.get(key, default)
+    if type(value) not in ((int,) if integer else (int, float)) or not 0 <= value < math.inf:
+        noun = "integer" if integer else "number"
+        raise ConfigError(f"{section}.{key} must be a finite nonnegative {noun}, got {value!r}")
+    return value
+
+
 def _load_dataset(spec: dict) -> data.Dataset:
     kind = spec.get("kind")
     if kind == "cancer":
         return data.load_cancer_csv(spec["path"])
     if kind == "synth":
         return data.synth_blobs(
-            n=int(spec["n"]),
-            d=int(spec["d"]),
-            n_classes=int(spec.get("classes", 2)),
-            seed=int(spec.get("seed", 0)),
-            separation=float(spec.get("separation", 4.0)),
+            n=_setting("data", spec, "n"),
+            d=_setting("data", spec, "d"),
+            n_classes=_setting("data", spec, "classes", 2),
+            seed=_setting("data", spec, "seed", 0),
+            separation=float(_setting("data", spec, "separation", 4.0, integer=False)),
         )
     raise ConfigError(f"unknown data kind {kind!r} (expected 'cancer' or 'synth')")
 
@@ -122,6 +133,8 @@ def _build_model(dataset: data.Dataset, spec: dict, seed: int) -> nn.MlpModel:
     """MLP with the spec's ``model.hidden`` layers between the dataset's
     features and (at least two) classes."""
     hidden = spec.get("model", {}).get("hidden", [10, 20, 10])
+    if type(hidden) is not list or not all(type(h) is int and h >= 1 for h in hidden):
+        raise ConfigError(f"model.hidden must be a list of positive integers, got {hidden!r}")
     return nn.MlpModel.init([dataset.n_features] + list(hidden) + [max(2, dataset.n_classes)], seed=seed)
 
 
@@ -135,10 +148,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     split = cfg.get("split")
     validation = None
     if split:
-        train_set, test_set = data.train_test_split(dataset, int(split["n_train"]), int(split.get("seed", 0)))
-        n_val = int(split.get("n_validation", 0))
+        split_seed = _setting("split", split, "seed", 0)
+        train_set, test_set = data.train_test_split(dataset, _setting("split", split, "n_train"), split_seed)
+        n_val = _setting("split", split, "n_validation", 0)
         if n_val:
-            train_set, validation = data.train_test_split(train_set, len(train_set) - n_val, int(split.get("seed", 0)) + 1)
+            train_set, validation = data.train_test_split(train_set, len(train_set) - n_val, split_seed + 1)
     else:
         train_set, test_set = dataset, None
 
@@ -201,8 +215,10 @@ def _cmd_validate_bound(args: argparse.Namespace) -> int:
             sigma_step, q_step = 1.0, 0.005
         else:
             sigma_step, q_step = args.sigma_step, args.q_step
-        n_sigma = int(round((args.sigma_max - args.sigma_min) / sigma_step))
-        sigmas = [args.sigma_min + i * sigma_step for i in range(n_sigma + 1)]
+        span = (args.sigma_max - args.sigma_min) / sigma_step if sigma_step > 0.0 else math.nan
+        if not 0.0 <= span < math.inf:
+            raise DomainError("need finite sigma_min <= sigma_max and a positive sigma step")
+        sigmas = [args.sigma_min + i * sigma_step for i in range(int(round(span)) + 1)]
         report = renyi.validate_moment_bound(sigmas, q_step=q_step, alpha_cap=args.alpha_cap)
 
     payload = {
@@ -212,7 +228,7 @@ def _cmd_validate_bound(args: argparse.Namespace) -> int:
             {"q": c.q, "sigma": c.sigma, "alpha": c.alpha, "divergence": c.divergence, "bound": c.bound}
             for c in report.violations
         ],
-        "worst_slack": report.worst_slack if report.checks else None,
+        "worst_slack": report.worst_slack if report.n_points else None,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -227,6 +243,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     candidates = [schedules.NoiseSchedule.from_dict(d) for d in manifest["candidates"]]
     base_train = dict(manifest["train"])
     eps = float(manifest["eps"])
+    rho = selection.selection_rho(eps)  # rejects a bad eps before any training
     seed = int(manifest.get("seed", 0))
 
     def train_candidate(index: int, portion: data.Dataset):
@@ -242,7 +259,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         "selected_schedule": candidates[result.selected].to_dict(),
         "z_scores": [s.z for s in result.scores],
         "portion_sizes": result.portion_sizes,
-        "selection_rho": selection.selection_rho(eps),
+        "selection_rho": rho,
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)

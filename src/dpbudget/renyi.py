@@ -17,8 +17,7 @@ it sit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,56 +36,74 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _NODES_16, _WEIGHTS_16 = roots_legendre(16)
 _TAIL_SIGMAS = 16.0
 _REFINE_RTOL = 1e-9
+# The orders of one call are worked through in blocks of at most this many
+# (order, node) entries, so the temporaries stay near half a megabyte each.
+_BLOCK_ENTRIES = 1 << 16
+# Highest moment order of the accountant and of the bound validation.
+_ORDER_CAP = 200
 
 
-def _log_power_integral(
-    q: float, sigma: float, alpha: float, reverse: bool, panel_width: float
-) -> float:
-    """log of the integral of ``p(z)^alpha r(z)^(1-alpha)`` over the line,
-    where (p, r) is (mixture, base) or reversed."""
+def _blocks(n_rows: int, row_len: int) -> List[slice]:
+    """Row ranges holding at most ``_BLOCK_ENTRIES`` entries (one row at least)."""
+    step = max(1, _BLOCK_ENTRIES // max(1, row_len))
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def _log_renyi_powers(q: float, sigma: float, alphas: Sequence[float], reverse: bool) -> np.ndarray:
+    """``(alpha - 1) * D_alpha`` at every order in ``alphas``: the log of the
+    integral of ``p(z)^alpha r(z)^(1-alpha)`` over the line, where (p, r) is
+    (mixture, base) or reversed.
+
+    The log integrand is affine in alpha, so all orders share one node set
+    per pass, sized for the largest order; the orders are worked through in
+    blocks of at most ``_BLOCK_ENTRIES`` (order, node) entries.  Each order's
+    fine-pass value must agree with its coarse-pass value.
+    """
+    alphas = np.asarray(alphas, dtype=np.float64)
+    if not 0.0 < q <= 1.0:
+        raise DomainError(f"sampling ratio q must lie in (0, 1], got {q}")
+    if not 0.0 < sigma < math.inf:
+        raise DomainError(f"sigma must be positive and finite, got {sigma}")
+    if not (alphas.size and np.all((alphas > 1.0) & (alphas < math.inf))):
+        raise DomainError(f"orders must be finite and exceed 1, got {alphas}")
     lo = -_TAIL_SIGMAS * sigma
-    hi = (1.0 if reverse else max(1.0, alpha)) + _TAIL_SIGMAS * sigma
-    n_panels = int(math.ceil((hi - lo) / (panel_width * sigma)))
-    edges = np.linspace(lo, hi, n_panels + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    z = (centers[:, None] + halves[:, None] * _NODES_16[None, :]).ravel()
-    w = (halves[:, None] * _WEIGHTS_16[None, :]).ravel()
-
+    hi = (1.0 if reverse else max(1.0, float(alphas.max()))) + _TAIL_SIGMAS * sigma
     norm = -math.log(sigma) - _LOG_SQRT_2PI
-    log_base = -z * z / (2.0 * sigma * sigma) + norm
-    log_shift = -(z - 1.0) ** 2 / (2.0 * sigma * sigma) + norm
-    if q >= 1.0:
-        log_mix = log_shift
-    else:
-        log_mix = np.logaddexp(math.log(q) + log_shift, math.log1p(-q) + log_base)
-    if reverse:
-        log_integrand = alpha * log_base + (1.0 - alpha) * log_mix
-    else:
-        log_integrand = alpha * log_mix + (1.0 - alpha) * log_base
-    peak = float(log_integrand.max())
-    return peak + math.log(float(np.sum(w * np.exp(log_integrand - peak))))
-
-
-@lru_cache(maxsize=200_000)
-def _log_renyi_power(q: float, sigma: float, alpha: float, reverse: bool) -> float:
-    """``(alpha - 1) * D_alpha`` with a two-level refinement check."""
-    coarse = _log_power_integral(q, sigma, alpha, reverse, panel_width=0.5)
-    fine = _log_power_integral(q, sigma, alpha, reverse, panel_width=0.25)
-    scale = max(1.0, abs(fine))
-    if abs(fine - coarse) > _REFINE_RTOL * scale:
+    passes = []
+    for panel_width in (0.5, 0.25):
+        n_panels = int(math.ceil((hi - lo) / (panel_width * sigma)))
+        edges = np.linspace(lo, hi, n_panels + 1)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        halves = 0.5 * (edges[1:] - edges[:-1])
+        z = (centers[:, None] + halves[:, None] * _NODES_16[None, :]).ravel()
+        w = (halves[:, None] * _WEIGHTS_16[None, :]).ravel()
+        log_base = -z * z / (2.0 * sigma * sigma) + norm
+        log_shift = -(z - 1.0) ** 2 / (2.0 * sigma * sigma) + norm
+        log_mix = log_shift if q >= 1.0 else np.logaddexp(math.log(q) + log_shift, math.log1p(-q) + log_base)
+        log_p, log_r = (log_base, log_mix) if reverse else (log_mix, log_base)
+        out = np.empty(alphas.size)
+        for rows in _blocks(alphas.size, z.size):
+            a = alphas[rows, None]
+            log_integrand = a * log_p + (1.0 - a) * log_r
+            peak = log_integrand.max(axis=1)
+            out[rows] = peak + np.log(np.sum(w * np.exp(log_integrand - peak[:, None]), axis=1))
+        passes.append(out)
+    coarse, fine = passes
+    unconverged = np.flatnonzero(~(np.abs(fine - coarse) <= _REFINE_RTOL * np.maximum(1.0, np.abs(fine))))
+    if unconverged.size:
+        i = unconverged[0]
         raise NumericalError(
             "quadrature failed to converge for subsampled Renyi divergence",
-            diagnostics={
-                "q": q,
-                "sigma": sigma,
-                "alpha": alpha,
-                "reverse": reverse,
-                "coarse": coarse,
-                "fine": fine,
-            },
+            diagnostics={"q": q, "sigma": sigma, "alpha": float(alphas[i]), "reverse": reverse,
+                         "coarse": float(coarse[i]), "fine": float(fine[i])},
         )
     return fine
+
+
+def _worst_direction(q: float, sigma: float, alphas: np.ndarray) -> np.ndarray:
+    """``D_alpha`` at every order, maximized over the two directions."""
+    both = np.maximum(_log_renyi_powers(q, sigma, alphas, False), _log_renyi_powers(q, sigma, alphas, True))
+    return both / (alphas - 1.0)
 
 
 def subsampled_renyi_divergence(
@@ -98,16 +115,10 @@ def subsampled_renyi_divergence(
     ``D_alpha(base || mixture)``.  ``q = 1`` degenerates to two unit-separated
     Gaussians, for which the divergence is ``alpha / (2 sigma^2)``.
     """
-    if not (0.0 < q <= 1.0):
-        raise DomainError(f"sampling ratio q must lie in (0, 1], got {q}")
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    if alpha <= 1.0:
-        raise DomainError(f"alpha must exceed 1, got {alpha}")
-    return _log_renyi_power(float(q), float(sigma), float(alpha), bool(reverse)) / (alpha - 1.0)
+    return float(_log_renyi_powers(q, sigma, [alpha], bool(reverse))[0]) / (alpha - 1.0)
 
 
-def divergence_changepoint(q: float, sigma: float, alpha_max: int = 200) -> int:
+def divergence_changepoint(q: float, sigma: float, alpha_max: int = _ORDER_CAP) -> int:
     """First integer order at which the divergence-vs-order curve takes off.
 
     The curve hugs zero while sampling amplification is in effect and then
@@ -117,33 +128,21 @@ def divergence_changepoint(q: float, sigma: float, alpha_max: int = 200) -> int:
     slope ``1/(2 sigma^2)``.
     """
     gaussian_slope = 1.0 / (2.0 * sigma * sigma)
-    previous = subsampled_renyi_divergence(q, sigma, 2.0)
-    for alpha in range(3, alpha_max + 1):
-        current = subsampled_renyi_divergence(q, sigma, float(alpha))
-        if current - previous > 0.5 * gaussian_slope:
-            return alpha
-        previous = current
+    alphas = np.arange(2.0, alpha_max + 1)
+    curve = _log_renyi_powers(q, sigma, alphas, False) / (alphas - 1.0)
+    takeoff = np.flatnonzero(np.diff(curve) > 0.5 * gaussian_slope)
+    if takeoff.size:
+        return int(alphas[takeoff[0] + 1])
     raise NumericalError(
         f"no divergence changepoint found for q={q}, sigma={sigma} up to alpha={alpha_max}",
         diagnostics={"q": q, "sigma": sigma, "alpha_max": alpha_max},
     )
 
 
-def default_lambda_max(q: float, sigma: float, cap: int = 200) -> int:
+def default_lambda_max(q: float, sigma: float) -> int:
     """Largest moment order used by the accountant,
-    ``min(ceil(sigma^2 log(1/(q sigma))), cap)``."""
-    return min(int(math.ceil(rs_order_cap(q, sigma) - 1.0)), cap)
-
-
-def subsampled_log_moment(q: float, sigma: float, lam: int) -> float:
-    """Log moment of the privacy-loss variable at integer order ``lam``,
-    i.e. ``lam * D_{lam+1}`` maximized over the two divergence directions."""
-    if lam < 1:
-        raise DomainError(f"moment order must be at least 1, got {lam}")
-    alpha = float(lam + 1)
-    forward = subsampled_renyi_divergence(q, sigma, alpha)
-    backward = subsampled_renyi_divergence(q, sigma, alpha, reverse=True)
-    return lam * max(forward, backward)
+    ``min(ceil(sigma^2 log(1/(q sigma))), 200)``."""
+    return min(int(math.ceil(rs_order_cap(q, sigma) - 1.0)), _ORDER_CAP)
 
 
 def moments_accountant_eps(
@@ -157,16 +156,7 @@ def moments_accountant_eps(
     subsampled Gaussian mechanism, optimized over integer moment orders."""
     if steps < 0:
         raise DomainError(f"steps must be nonnegative, got {steps}")
-    if not (0.0 < delta < 1.0):
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if lambda_max is None:
-        lambda_max = default_lambda_max(q, sigma)
-    log_inv_delta = math.log(1.0 / delta)
-    eps = min(
-        (steps * subsampled_log_moment(q, sigma, lam) + log_inv_delta) / lam
-        for lam in range(1, lambda_max + 1)
-    )
-    return EpsDelta(eps, delta)
+    return EpsDelta(float(moments_accountant_curve(q, sigma, steps, 1, delta, lambda_max)[0]), delta)
 
 
 def moments_accountant_curve(
@@ -179,22 +169,31 @@ def moments_accountant_curve(
 ) -> np.ndarray:
     """Per-epoch accountant epsilons for a fixed-(q, sigma) run.
 
-    The per-step log moments are computed once and reused across epochs.
+    The per-step log moments ``lam * D_{lam+1}`` (the larger direction) are
+    computed once for the orders ``lam = 1..lambda_max`` and reused across
+    epochs.
     """
+    if epochs < 0 or iters_per_epoch < 0:
+        raise DomainError(f"epochs and iters_per_epoch must be nonnegative, got {epochs} and {iters_per_epoch}")
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"delta must lie in (0, 1), got {delta}")
     if lambda_max is None:
         lambda_max = default_lambda_max(q, sigma)
+    if lambda_max < 1:
+        raise DomainError(f"lambda_max must be at least 1, got {lambda_max}")
     lams = np.arange(1, lambda_max + 1)
-    moments = np.array([subsampled_log_moment(q, sigma, int(lam)) for lam in lams])
+    moments = lams * _worst_direction(q, sigma, lams + 1.0)
+    steps = np.arange(1, epochs + 1) * iters_per_epoch
     log_inv_delta = math.log(1.0 / delta)
     out = np.empty(epochs)
-    for e in range(1, epochs + 1):
-        out[e - 1] = np.min((e * iters_per_epoch * moments + log_inv_delta) / lams)
+    for rows in _blocks(epochs, lams.size):
+        out[rows] = np.min((steps[rows, None] * moments + log_inv_delta) / lams, axis=1)
     return out
 
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """One grid point of the moment-bound validation."""
+    """A grid point where the moment bound fails."""
 
     q: float
     sigma: float
@@ -202,34 +201,16 @@ class BoundCheck:
     divergence: float
     bound: float
 
-    @property
-    def slack(self) -> float:
-        return self.bound - self.divergence
-
-    @property
-    def holds(self) -> bool:
-        return self.divergence <= self.bound
-
 
 @dataclass
 class BoundReport:
-    """Outcome of sweeping ``D_alpha <= q^2 alpha / sigma^2`` over a grid."""
+    """Outcome of sweeping ``D_alpha <= q^2 alpha / sigma^2`` over a grid:
+    the number of (q, sigma, alpha) checks, the smallest ``bound -
+    divergence`` among them (inf if there are none) and the failing checks."""
 
-    checks: List[BoundCheck]
-
-    @property
-    def violations(self) -> List[BoundCheck]:
-        return [c for c in self.checks if not c.holds]
-
-    @property
-    def worst_slack(self) -> float:
-        if not self.checks:
-            return math.inf
-        return min(c.slack for c in self.checks)
-
-    @property
-    def n_points(self) -> int:
-        return len(self.checks)
+    n_points: int = 0
+    worst_slack: float = math.inf
+    violations: List[BoundCheck] = field(default_factory=list)
 
 
 def moment_bound_grid(
@@ -238,11 +219,17 @@ def moment_bound_grid(
     q_start: Optional[float] = None,
 ) -> List[Tuple[float, float]]:
     """(q, sigma) pairs with q running from ``q_start`` (default ``q_step``)
-    to ``1/(16 sigma)`` in steps of ``q_step``."""
+    to ``min(1, 1/(16 sigma))`` in steps of ``q_step``."""
     start = q_step if q_start is None else q_start
+    if not 0.0 < q_step < math.inf:
+        raise DomainError(f"q step must be positive and finite, got {q_step}")
+    if not 0.0 < start <= 1.0:
+        raise DomainError(f"first q must lie in (0, 1], got {start}")
     grid = []
     for sigma in sigmas:
-        q_max = 1.0 / (16.0 * sigma)
+        if not 0.0 < sigma < math.inf:
+            raise DomainError(f"sigma must be positive and finite, got {sigma}")
+        q_max = min(1.0, 1.0 / (16.0 * sigma))
         i = 0
         while True:
             q = start + i * q_step
@@ -257,21 +244,26 @@ def validate_moment_bound(
     sigmas: Sequence[float],
     q_step: float = 0.001,
     q_start: Optional[float] = None,
-    alpha_cap: int = 200,
-    both_directions: bool = True,
+    alpha_cap: int = _ORDER_CAP,
 ) -> BoundReport:
     """Check ``D_alpha <= q^2 alpha / sigma^2`` numerically over a grid.
 
     For each (q, sigma) the integer orders 2..min(order cap, alpha_cap) are
-    tested; violations are recorded in the report, never raised.
+    tested in both divergence directions; violations are recorded in the
+    report, never raised.
     """
-    checks: List[BoundCheck] = []
+    if not alpha_cap >= 2:
+        raise DomainError(f"alpha_cap must be at least 2, got {alpha_cap}")
+    report = BoundReport()
     for q, sigma in moment_bound_grid(sigmas, q_step=q_step, q_start=q_start):
         u_alpha = min(rs_order_cap(q, sigma), float(alpha_cap))
-        for alpha in range(2, int(math.floor(u_alpha)) + 1):
-            bound = q * q * alpha / (sigma * sigma)
-            d = subsampled_renyi_divergence(q, sigma, float(alpha))
-            if both_directions:
-                d = max(d, subsampled_renyi_divergence(q, sigma, float(alpha), reverse=True))
-            checks.append(BoundCheck(q, sigma, alpha, d, bound))
-    return BoundReport(checks)
+        alphas = np.arange(2.0, math.floor(u_alpha) + 1)
+        if not alphas.size:
+            continue
+        divergence = _worst_direction(q, sigma, alphas)
+        bound = q * q * alphas / (sigma * sigma)
+        report.n_points += alphas.size
+        report.worst_slack = min(report.worst_slack, float(np.min(bound - divergence)))
+        for i in np.flatnonzero(~(divergence <= bound)):
+            report.violations.append(BoundCheck(q, sigma, int(alphas[i]), float(divergence[i]), float(bound[i])))
+    return report

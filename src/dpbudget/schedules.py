@@ -234,6 +234,10 @@ def solve_decay_rate(
         raise ConfigError(f"kind must be one of {DECAY_KINDS}, got {kind!r}")
     if target_epochs < 1:
         raise ConfigError(f"target_epochs must be at least 1, got {target_epochs}")
+    if not 0.0 <= rho_total < math.inf:
+        raise ConfigError(f"rho_total must be finite and nonnegative, got {rho_total}")
+    if not 0.0 < grid < math.inf:
+        raise ConfigError(f"grid must be positive and finite, got {grid}")
 
     def horizon(index: int) -> int:
         sched = _schedule_for_k(kind, sigma0, index * grid, period, sigma_end)

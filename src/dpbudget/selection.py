@@ -8,11 +8,11 @@ to ``exp(-eps * z_i / 2)``.  The draw satisfies eps-DP and therefore
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import Dataset
 from .errors import DomainError, UsageError
@@ -23,14 +23,19 @@ class CandidateScore(NamedTuple):
     z: int  # incorrect predictions on the held-out portion
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 <= eps < math.inf:
+        raise DomainError(f"eps must be finite and nonnegative, got {eps}")
+
+
 def selection_probabilities(z_scores: Sequence[float], eps: float) -> np.ndarray:
-    """Normalized exp(-eps z / 2) weights, computed via log-sum-exp."""
+    """Normalized exp(-eps z / 2) weights, shifted by the largest log weight
+    before exponentiating so that none overflows."""
     if len(z_scores) == 0:
         raise UsageError("selection requires at least one candidate")
-    if eps < 0.0:
-        raise DomainError(f"eps must be nonnegative, got {eps}")
+    _check_eps(eps)
     log_w = -0.5 * eps * np.asarray(z_scores, dtype=np.float64)
-    p = np.exp(log_w - logsumexp(log_w))
+    p = np.exp(log_w - log_w.max())
     return p / p.sum()
 
 
@@ -42,8 +47,7 @@ def exp_mechanism_select(z_scores: Sequence[float], eps: float, rng: np.random.G
 
 def selection_rho(eps: float) -> float:
     """zCDP cost of one eps-DP exponential-mechanism draw: eps^2 / 2."""
-    if eps < 0.0:
-        raise DomainError(f"eps must be nonnegative, got {eps}")
+    _check_eps(eps)
     return 0.5 * eps * eps
 
 

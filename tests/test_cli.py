@@ -114,6 +114,33 @@ class TestValidateBoundCommand:
         assert payload["worst_slack"] > 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate-bound", "--point", "0.01", "nan"],
+        ["validate-bound", "--q-step", "0"],
+        ["validate-bound", "--point", "nan", "4"],
+        ["validate-bound", "--point", "0.01", "-4"],
+        ["validate-bound", "--point", "0.01", "inf"],
+        ["validate-bound", "--alpha-cap", "-3"],
+        ["validate-bound", "--sigma-min", "3", "--sigma-max", "2"],
+        ["validate-bound", "--sigma-step", "0"],
+        ["account", "--epochs", "-5"],
+        ["account", "--epochs", "0", "--iters-per-epoch", "-3"],
+        ["account", "--q", "nan"],
+        ["solve-k", "--kind", "exp", "--sigma0", "10", "--target", "60", "--rho-total", "nan"],
+        ["solve-k", "--kind", "exp", "--sigma0", "10", "--target", "60", "--rho-total", "inf"],
+        ["solve-k", "--kind", "exp", "--sigma0", "10", "--target", "60", "--rho-total", "0.78125", "--grid", "0"],
+        ["solve-k", "--kind", "exp", "--sigma0", "10", "--target", "60", "--rho-total", "0.78125", "--grid", "nan"],
+    ],
+)
+def test_invalid_numeric_argument_exits_2(tmp_path, capsys, argv):
+    out = [] if argv[0] == "solve-k" else ["--out", str(tmp_path / "out")]
+    assert run(argv + out) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 class TestTrainCommand:
     def make_config(self, tmp_path, cancer_file, schedule, max_epochs=3, rho_total=1.0):
         cfg = {
@@ -243,12 +270,22 @@ INVALID_VALUES = st.one_of(
 )
 
 
+# keys of the data, split and model sections; "hidden" stands for its list
+DATASET_KEYS = [
+    ("data", ("n", "int")), ("data", ("d", "int")), ("data", ("classes", "int")),
+    ("data", ("seed", "int")), ("data", ("separation", "float")),
+    ("split", ("n_train", "int")), ("split", ("seed", "int")), ("split", ("n_validation", "int")),
+    ("model", ("hidden", "List[int]")),
+]
+
+
 class TestInvalidTrainConfigs:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         section_key=st.one_of(
             st.tuples(st.just("train"), st.sampled_from(config_keys(TrainConfig, skip={"schedule"}))),
             st.tuples(st.just("schedule"), st.sampled_from(config_keys(NoiseSchedule))),
+            st.sampled_from(DATASET_KEYS),
         ),
         value=INVALID_VALUES,
         batching=st.sampled_from(["rf", "rs"]),
@@ -265,10 +302,13 @@ class TestInvalidTrainConfigs:
             train.update(batching="rs", q=0.01, iters_per_epoch=5, eps_total=1.0)
         cfg = {
             "data": {"kind": "synth", "n": 40, "d": 2},
+            "split": {"n_train": 30},
             "model": {"hidden": [4]},
             "schedule": {"kind": "exp", "sigma0": 4.0, "k": 0.1},
             "train": train,
         }
+        if key == "hidden" and not isinstance(value, (list, dict, str, type(None))):
+            value = [4, value]  # a bad layer width inside the list
         cfg[section][key] = value
         workdir = tmp_path_factory.mktemp("invalid")
         path, out = str(workdir / "config.json"), str(workdir / "run")
@@ -303,6 +343,19 @@ class TestTuneCommand:
         assert max(record["portion_sizes"]) - min(record["portion_sizes"]) <= 1
         assert record["selection_rho"] == 0.5
         assert record["manifest"]["seed"] == 7
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_exits_2(self, tmp_path, eps):
+        manifest = {
+            "data": {"kind": "synth", "n": 40, "d": 2},
+            "eps": eps,
+            "candidates": [{"kind": "uniform", "sigma0": 8.0}, {"kind": "uniform", "sigma0": 4.0}],
+            "train": {"clip_norm": 1.0, "max_epochs": 1, "rho_total": 1.0},
+        }
+        mpath = tmp_path / "tune.json"
+        mpath.write_text(json.dumps(manifest))
+        assert run(["tune", "--manifest", str(mpath), "--out", str(tmp_path / "sel.json")]) == 2
+        assert not (tmp_path / "sel.json").exists()
 
 
 class TestUsageErrors:

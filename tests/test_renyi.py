@@ -67,9 +67,44 @@ class TestDivergenceQuadrature:
 
         monkeypatch.setattr(renyi, "_REFINE_RTOL", -1.0)  # force refinement mismatch
         with pytest.raises(NumericalError) as err:
-            renyi._log_renyi_power(0.013, 5.5, 17.0, False)  # uncached triple
+            renyi.subsampled_renyi_divergence(0.013, 5.5, 17.0)
         assert err.value.diagnostics["q"] == 0.013
+        assert err.value.diagnostics["alpha"] == 17.0
+        with pytest.raises(NumericalError) as err:
+            renyi.validate_moment_bound([5.5], q_step=1.0, q_start=0.011)
+        assert err.value.diagnostics["q"] == 0.011
         assert "alpha" in err.value.diagnostics
+
+
+class TestBatchedOrders:
+    """One call evaluates many orders on a node set sized for the largest."""
+
+    @pytest.mark.parametrize("q,sigma", [(0.01, 4.0), (0.01, 6.0), (0.005, 2.0), (0.03, 2.0), (0.1, 1.0), (0.5, 1.0), (0.9, 1.0), (0.5, 4.0)])
+    def test_every_order_matches_binomial_oracle(self, q, sigma):
+        alphas = np.arange(2.0, 201.0)
+        got = renyi._log_renyi_powers(q, sigma, alphas, False)
+        for alpha, value in zip(alphas, got):
+            oracle = binomial_log_power(q, sigma, int(alpha))
+            assert value == pytest.approx(oracle, rel=1e-9, abs=1e-12), alpha
+
+    @pytest.mark.parametrize("q,sigma", [(0.01, 4.0), (0.005, 2.0), (0.5, 1.0)])
+    def test_reverse_batch_equals_one_order_calls(self, q, sigma):
+        alphas = np.array([2.0, 3.5, 17.0, 90.0, 200.0])
+        batched = renyi._log_renyi_powers(q, sigma, alphas, True) / (alphas - 1.0)
+        for alpha, value in zip(alphas, batched):
+            single = renyi.subsampled_renyi_divergence(q, sigma, alpha, reverse=True)
+            assert value == pytest.approx(single, rel=1e-12, abs=0.0)
+
+    def test_block_size_does_not_change_values(self, monkeypatch):
+        alphas = np.arange(2.0, 60.0)
+        whole = renyi._log_renyi_powers(0.02, 3.0, alphas, False)
+        monkeypatch.setattr(renyi, "_BLOCK_ENTRIES", 1)  # one order per block
+        assert np.array_equal(renyi._log_renyi_powers(0.02, 3.0, alphas, False), whole)
+
+    @pytest.mark.parametrize("alphas", [[], [2.0, 1.0], [2.0, math.nan], [math.inf]])
+    def test_bad_orders_rejected(self, alphas):
+        with pytest.raises(DomainError):
+            renyi._log_renyi_powers(0.01, 4.0, alphas, False)
 
 
 class TestFractionalOrderOracle:
@@ -183,6 +218,13 @@ class TestMomentsAccountant:
         ).eps
         assert uncapped_ma <= capped
 
+    @pytest.mark.parametrize(
+        "iters,epochs,delta", [(100, -5, 1e-5), (-1, 5, 1e-5), (100, 5, 0.0), (100, 5, math.nan)]
+    )
+    def test_curve_rejects_invalid_arguments(self, iters, epochs, delta):
+        with pytest.raises(DomainError):
+            renyi.moments_accountant_curve(0.01, 6.0, iters, epochs, delta)
+
     def test_curve_matches_pointwise_eps(self):
         curve = renyi.moments_accountant_curve(0.01, 6.0, 100, 5, 1e-5)
         for epoch in (1, 3, 5):
@@ -207,6 +249,44 @@ class TestBoundValidation:
         report = renyi.validate_moment_bound([30.0], q_step=0.005, q_start=0.005)
         assert report.n_points == 0
         assert report.worst_slack == math.inf
+
+    def test_violation_is_streamed_into_the_report(self, monkeypatch):
+        # inflate the forward divergence at order 7 beyond the bound
+        q, sigma = 0.01, 4.0
+        real = renyi._log_renyi_powers
+
+        def inflated(q_, sigma_, alphas, reverse):
+            out = real(q_, sigma_, alphas, reverse)
+            if not reverse:
+                out = np.where(alphas == 7.0, 6.0 * 2.0 * q * q * 7.0 / (sigma * sigma), out)
+            return out
+
+        monkeypatch.setattr(renyi, "_log_renyi_powers", inflated)
+        report = renyi.validate_moment_bound([sigma], q_step=1.0, q_start=q, alpha_cap=20)
+        assert report.n_points == 19  # orders 2..20
+        assert report.worst_slack == pytest.approx(-q * q * 7.0 / (sigma * sigma), rel=1e-12)
+        assert report.worst_slack < 0.0
+        [check] = report.violations
+        assert (check.q, check.sigma, check.alpha) == (q, sigma, 7)
+        assert check.bound == q * q * 7 / (sigma * sigma)
+        assert check.divergence == pytest.approx(2.0 * check.bound, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sigmas": [math.nan]},
+            {"sigmas": [-4.0]},
+            {"sigmas": [math.inf]},
+            {"sigmas": [4.0], "q_step": 0.0},
+            {"sigmas": [4.0], "q_step": math.nan},
+            {"sigmas": [4.0], "q_start": math.nan},
+            {"sigmas": [4.0], "q_start": 0.0},
+            {"sigmas": [4.0], "alpha_cap": -3},
+        ],
+    )
+    def test_invalid_arguments_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            renyi.validate_moment_bound(**kwargs)
 
     def test_grid_respects_ratio_cap(self):
         grid = renyi.moment_bound_grid([2.0], q_step=0.005, q_start=0.005)

@@ -244,6 +244,13 @@ class TestSolveDecayRate:
         k = DECAY_RATE_TABLE[kind][target]
         assert epochs_until_exhaustion(_schedule_with_k(kind, k), BUDGET) == target
 
+    @pytest.mark.parametrize(
+        "rho_total,grid", [(math.nan, 1e-4), (math.inf, 1e-4), (-1.0, 1e-4), (BUDGET, 0.0), (BUDGET, math.nan), (BUDGET, -1e-4)]
+    )
+    def test_invalid_budget_or_grid_rejected(self, rho_total, grid):
+        with pytest.raises(ConfigError):
+            solve_decay_rate("exp", 10.0, rho_total, 60, grid=grid)
+
     def test_infeasible_target(self):
         with pytest.raises(InfeasibleTargetError):
             solve_decay_rate("exp", 10.0, BUDGET, 100000)

@@ -35,8 +35,32 @@ class TestSelectionProbabilities:
         with pytest.raises(DomainError):
             selection.selection_probabilities([1, 2], -0.5)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(DomainError):
+            selection.selection_probabilities([0, 3], eps)
+        with pytest.raises(DomainError):
+            selection.exp_mechanism_select([0, 3], eps, np.random.default_rng(0))
+        with pytest.raises(DomainError):
+            selection.selection_rho(eps)
+
+    def test_large_scores_do_not_underflow(self):
+        # exp(-eps z / 2) is 0.0 in float64 for both scores; the weights
+        # shifted by the largest log weight are not
+        p = selection.selection_probabilities([2000, 2002], 1.0)
+        assert p[0] / p[1] == pytest.approx(math.e, rel=1e-12)
+
 
 class TestExpMechanismDraws:
+    def test_one_uniform_draw_per_selection(self):
+        # the pick is the first cdf entry above one rng.random() value, so a
+        # seeded generator's stream fixes the picks
+        rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+        cdf = np.cumsum(selection.selection_probabilities([0, 2, 4, 8], 0.5))
+        for _ in range(200):
+            expected = int(np.searchsorted(cdf, reference.random(), side="right"))
+            assert selection.exp_mechanism_select([0, 2, 4, 8], 0.5, rng) == expected
+
     def test_empirical_frequencies(self):
         rng = np.random.default_rng(99)
         n = 100_000
