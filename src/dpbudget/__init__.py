@@ -7,8 +7,6 @@ from .accounting import (
     EpsDelta,
     PrivacyLedger,
     amplified_strong_composition,
-    basic_composition,
-    budget_rho_for_dp,
     classic_gaussian_dp,
     gaussian_rho,
     rs_eps,
@@ -27,7 +25,6 @@ from .schedules import (
     epochs_until_exhaustion,
     sigma_at,
     solve_decay_rate,
-    uniform_sigma_for_epochs,
 )
 from .nn import MlpModel
 from .data import Dataset, load_cancer_csv, rf_batches, rs_batch, synth_blobs
@@ -38,8 +35,6 @@ __all__ = [
     "EpsDelta",
     "PrivacyLedger",
     "amplified_strong_composition",
-    "basic_composition",
-    "budget_rho_for_dp",
     "classic_gaussian_dp",
     "gaussian_rho",
     "rs_eps",
@@ -54,7 +49,6 @@ __all__ = [
     "epochs_until_exhaustion",
     "sigma_at",
     "solve_decay_rate",
-    "uniform_sigma_for_epochs",
     "MlpModel",
     "Dataset",
     "load_cancer_csv",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional
 
 from .errors import DomainError, PreconditionError, UsageError
 
@@ -30,18 +30,6 @@ BUDGET_TOL = 1e-12
 class EpsDelta(NamedTuple):
     eps: float
     delta: float
-
-
-class ClassicGaussianDP(NamedTuple):
-    """Result of the classical Gaussian-mechanism bound.
-
-    ``valid`` is False when the resulting eps falls outside (0, 1), the only
-    range for which the classical tail bound is stated.
-    """
-
-    eps: float
-    delta: float
-    valid: bool
 
 
 class LedgerStep(NamedTuple):
@@ -83,39 +71,16 @@ def zcdp_to_dp(rho: float, delta: float) -> EpsDelta:
     return EpsDelta(rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta)), delta)
 
 
-def budget_rho_for_dp(eps: float, delta: float) -> float:
-    """Largest ``rho`` whose zCDP-to-DP conversion yields exactly ``eps``.
-
-    Exact inversion of :func:`zcdp_to_dp`:
-    ``rho = (sqrt(L + eps) - sqrt(L))^2`` with ``L = log(1/delta)``.  This is
-    the exact counterpart of the common approximation
-    ``rho ~ eps^2 / (4 log(1/delta))``.
-    """
-    if eps < 0.0:
-        raise DomainError(f"eps must be nonnegative, got {eps}")
-    _check_delta(delta)
-    big_l = math.log(1.0 / delta)
-    return (math.sqrt(big_l + eps) - math.sqrt(big_l)) ** 2
-
-
-def classic_gaussian_dp(sigma: float, delta: float) -> ClassicGaussianDP:
+def classic_gaussian_dp(sigma: float, delta: float) -> EpsDelta:
     """Smallest eps for which the classical Gaussian bound holds at ``sigma``.
 
     Solves ``sigma^2 = 2 log(1.25/delta) / eps^2`` for eps.  The underlying
     tail bound is only stated for eps in (0, 1); outside that range the value
-    is still returned but flagged invalid.
+    is still returned.
     """
     _check_sigma(sigma)
     _check_delta(delta)
-    eps = math.sqrt(2.0 * math.log(1.25 / delta)) / sigma
-    return ClassicGaussianDP(eps, delta, 0.0 < eps < 1.0)
-
-
-def basic_composition(costs: Sequence[EpsDelta]) -> EpsDelta:
-    """Linear composition: eps and delta both add up."""
-    if len(costs) == 0:
-        raise UsageError("basic_composition requires a nonempty cost list")
-    return EpsDelta(sum(c.eps for c in costs), sum(c.delta for c in costs))
+    return EpsDelta(math.sqrt(2.0 * math.log(1.25 / delta)) / sigma, delta)
 
 
 def amplify_by_sampling(eps: float, delta: float, q: float) -> EpsDelta:

@@ -16,11 +16,10 @@ Exit codes: 0 success (for ``train``: budget exhausted), 2 usage error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from . import __version__, accounting, data, dpsgd, nn, renyi, schedules, selection
 from .errors import (
@@ -31,6 +30,7 @@ from .errors import (
     ParseError,
     PreconditionError,
     UsageError,
+    config_from_json,
 )
 
 EXIT_OK = 0
@@ -50,7 +50,7 @@ def _manifest_lines(args: argparse.Namespace, seed: Optional[int]) -> List[str]:
     return lines
 
 
-def _write_csv(path: str, header: List[str], rows: List[List[object]], manifest: List[str]) -> None:
+def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]], manifest: List[str]) -> None:
     def fmt(v: object) -> str:
         if v is None:
             return ""
@@ -96,10 +96,17 @@ def _cmd_account(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _object(name: str, value: object) -> dict:
+    """``value``, which must be a JSON object."""
+    if type(value) is not dict:
+        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def _setting(section: str, spec: dict, key: str, default: object = None, integer: bool = True):
     """``spec[key]`` (``default`` if absent), which must be a finite
     nonnegative integer, or number if not ``integer``."""
-    value = spec.get(key, default)
+    value = _object(section, spec).get(key, default)
     if type(value) not in ((int,) if integer else (int, float)) or not 0 <= value < math.inf:
         noun = "integer" if integer else "number"
         raise ConfigError(f"{section}.{key} must be a finite nonnegative {noun}, got {value!r}")
@@ -107,9 +114,12 @@ def _setting(section: str, spec: dict, key: str, default: object = None, integer
 
 
 def _load_dataset(spec: dict) -> data.Dataset:
-    kind = spec.get("kind")
+    kind = _object("data", spec).get("kind")
     if kind == "cancer":
-        return data.load_cancer_csv(spec["path"])
+        path = spec.get("path")
+        if type(path) is not str:
+            raise ConfigError(f"data.path must be a string, got {path!r}")
+        return data.load_cancer_csv(path)
     if kind == "synth":
         return data.synth_blobs(
             n=_setting("data", spec, "n"),
@@ -121,18 +131,10 @@ def _load_dataset(spec: dict) -> data.Dataset:
     raise ConfigError(f"unknown data kind {kind!r} (expected 'cancer' or 'synth')")
 
 
-def _train_config_from_dict(cfg: dict, schedule: schedules.NoiseSchedule) -> dpsgd.TrainConfig:
-    allowed = {f.name for f in dataclasses.fields(dpsgd.TrainConfig)} - {"schedule"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown train keys: {sorted(unknown)}")
-    return dpsgd.TrainConfig(schedule=schedule, **cfg)
-
-
 def _build_model(dataset: data.Dataset, spec: dict, seed: int) -> nn.MlpModel:
     """MLP with the spec's ``model.hidden`` layers between the dataset's
     features and (at least two) classes."""
-    hidden = spec.get("model", {}).get("hidden", [10, 20, 10])
+    hidden = _object("model", spec.get("model", {})).get("hidden", [10, 20, 10])
     if type(hidden) is not list or not all(type(h) is int and h >= 1 for h in hidden):
         raise ConfigError(f"model.hidden must be a list of positive integers, got {hidden!r}")
     return nn.MlpModel.init([dataset.n_features] + list(hidden) + [max(2, dataset.n_classes)], seed=seed)
@@ -140,14 +142,14 @@ def _build_model(dataset: data.Dataset, spec: dict, seed: int) -> nn.MlpModel:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        cfg = _object(args.config, json.load(fh))
     schedule = schedules.NoiseSchedule.from_dict(cfg["schedule"])
-    config = _train_config_from_dict(cfg["train"], schedule)
+    config = config_from_json(dpsgd.TrainConfig, "train", cfg["train"], schedule=schedule)
 
     dataset = _load_dataset(cfg["data"])
     split = cfg.get("split")
     validation = None
-    if split:
+    if split is not None:
         split_seed = _setting("split", split, "seed", 0)
         train_set, test_set = data.train_test_split(dataset, _setting("split", split, "n_train"), split_seed)
         n_val = _setting("split", split, "n_validation", 0)
@@ -160,17 +162,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     report = dpsgd.train(config, train_set, model, test_data=test_set, validation_data=validation)
 
-    manifest = _manifest_lines(args, config.seed)
-    rows = [
-        [r.epoch, r.sigma, r.train_acc, r.test_acc, r.val_acc, r.cum_rho, r.cum_eps]
-        for r in report.records
-    ]
-    _write_csv(
-        args.out + ".csv",
-        ["epoch", "sigma", "train_acc", "test_acc", "val_acc", "cum_rho", "cum_eps"],
-        rows,
-        manifest,
-    )
+    _write_csv(args.out + ".csv", dpsgd.EpochRecord._fields, report.records, _manifest_lines(args, config.seed))
     summary = {
         "manifest": {"version": __version__, "command": sys.argv[1:], "seed": config.seed},
         "epochs_run": report.epochs_run,
@@ -238,16 +230,17 @@ def _cmd_validate_bound(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        manifest = _object(args.manifest, json.load(fh))
     dataset = _load_dataset(manifest["data"])
+    if type(manifest["candidates"]) is not list:
+        raise ConfigError(f"candidates must be a list, got {manifest['candidates']!r}")
     candidates = [schedules.NoiseSchedule.from_dict(d) for d in manifest["candidates"]]
-    base_train = dict(manifest["train"])
-    eps = float(manifest["eps"])
+    eps = float(_setting("manifest", manifest, "eps", integer=False))
     rho = selection.selection_rho(eps)  # rejects a bad eps before any training
-    seed = int(manifest.get("seed", 0))
+    seed = _setting("manifest", manifest, "seed", 0)
 
     def train_candidate(index: int, portion: data.Dataset):
-        config = _train_config_from_dict({**base_train, "seed": seed + 1 + index}, candidates[index])
+        config = config_from_json(dpsgd.TrainConfig, "train", manifest["train"], seed=seed + 1 + index, schedule=candidates[index])
         model = _build_model(portion, manifest, config.seed)
         dpsgd.train(config, portion, model)
         return lambda features: nn.predict(model, features)

@@ -48,6 +48,40 @@ def clip_rows(per_example: np.ndarray, clip_norm: float) -> np.ndarray:
     return per_example * _clip_factors((per_example * per_example).sum(axis=1), clip_norm)[:, None]
 
 
+def _noisy_clipped_sum(
+    inputs: List[np.ndarray],
+    signals: List[np.ndarray],
+    clip_norm: float,
+    sigma: float,
+    per_layer: bool,
+    n_params: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """N(0, (sigma C)^2 I) plus the sum over the batch of the clipped
+    per-example gradients of dense layers with inputs a and backprop signals
+    d, as one vector of the layers' (weights, bias) pieces in order.
+
+    Ghost clipping: |g_l|^2 = (|a|^2 + 1) |d|^2 and the clipped sum is
+    a.T @ (d s), so no per-example gradient is formed.  With no layers (an
+    empty batch) the noise is released alone.
+    """
+    total = _gaussian_noise(rng, sigma, clip_norm, n_params)
+    if not inputs:
+        return total
+    sq_norms = np.array(
+        [(np.einsum("ij,ij->i", a, a) + 1.0) * np.einsum("ij,ij->i", d, d) for a, d in zip(inputs, signals)]
+    )
+    if per_layer:
+        factors = _clip_factors(sq_norms, clip_norm)
+    else:
+        factors = [_clip_factors(sq_norms.sum(axis=0), clip_norm)] * len(sq_norms)
+    clipped = []
+    for a, d, s in zip(inputs, signals, factors):
+        clipped += [(a.T @ (d * s[:, None])).ravel(), s @ d]
+    total += np.concatenate(clipped)
+    return total
+
+
 def noisy_mean_gradient(
     per_example: np.ndarray,
     clip_norm: float,
@@ -55,14 +89,17 @@ def noisy_mean_gradient(
     batch_size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """(sum of clipped per-example gradients + N(0, (sigma C)^2 I)) / B."""
+    """(sum of clipped per-example gradients + N(0, (sigma C)^2 I)) / B.
+
+    The rows are taken as the bias gradients of one layer with no inputs,
+    whose ghost norm is the row norm: the training primitive's one-layer case.
+    """
     if per_example.ndim != 2 or len(per_example) == 0:
         raise DomainError("per_example must be a nonempty (n, params) matrix")
     if batch_size < 1:
         raise DomainError(f"batch_size must be positive, got {batch_size}")
-    total = _gaussian_noise(rng, sigma, clip_norm, per_example.shape[1])
-    total += clip_rows(per_example, clip_norm).sum(axis=0)
-    return total / batch_size
+    n, p = per_example.shape
+    return _noisy_clipped_sum([np.empty((n, 0))], [per_example], clip_norm, sigma, False, p, rng) / batch_size
 
 
 def noisy_clipped_sum(
@@ -78,27 +115,10 @@ def noisy_clipped_sum(
     as one vector in ``model.params`` order (W0, b0, W1, b1, ...).
 
     Each example's gradient is clipped to norm C as a whole, or layer by
-    layer when ``per_layer``.  Norms and sums come from the layers' inputs a
-    and backprop signals d (ghost clipping: |g_l|^2 = (|a|^2 + 1) |d|^2 and
-    the clipped sum is a.T @ (d s)), so no per-example gradient is formed.
-    An empty batch releases the noise alone.
+    layer when ``per_layer``.  An empty batch releases the noise alone.
     """
-    total = _gaussian_noise(rng, sigma, clip_norm, model.n_params)
-    if len(x) == 0:
-        return total
-    inputs, signals = nn.backprop_signals(model, x, labels)
-    sq_norms = np.array(
-        [(np.einsum("ij,ij->i", a, a) + 1.0) * np.einsum("ij,ij->i", d, d) for a, d in zip(inputs, signals)]
-    )
-    if per_layer:
-        factors = _clip_factors(sq_norms, clip_norm)
-    else:
-        factors = [_clip_factors(sq_norms.sum(axis=0), clip_norm)] * len(sq_norms)
-    clipped = []
-    for a, d, s in zip(inputs, signals, factors):
-        clipped += [(a.T @ (d * s[:, None])).ravel(), s @ d]
-    total += np.concatenate(clipped)
-    return total
+    inputs, signals = nn.backprop_signals(model, x, labels) if len(x) else ([], [])
+    return _noisy_clipped_sum(inputs, signals, clip_norm, sigma, per_layer, model.n_params, rng)
 
 
 @dataclass(frozen=True)
@@ -161,7 +181,6 @@ class TrainReport:
     stop_reason: str  # "budget_exhausted" or "max_epochs"
     final_privacy: EpsDelta
     total_rho: float
-    seed: int
     ledger: PrivacyLedger = field(repr=False, default=None)
 
 
@@ -259,6 +278,5 @@ def train(
         stop_reason=stop_reason,
         final_privacy=ledger.to_dp(config.delta) if ledger.steps else EpsDelta(0.0, config.delta),
         total_rho=ledger.total_rho,
-        seed=config.seed,
         ledger=ledger,
     )

@@ -1,5 +1,5 @@
-"""Exception taxonomy shared across the package, and the check that turns
-bad config values into :class:`ConfigError`.
+"""Exception taxonomy shared across the package, and the checks that turn
+bad config values and sections into :class:`ConfigError`.
 
 The CLI maps these onto exit codes; see ``dpbudget.cli``.
 """
@@ -50,6 +50,23 @@ def check_config_fields(config) -> None:
         elif isinstance(value, bool) or not isinstance(value, kind) or not 0 <= value < math.inf:
             noun = "integer" if kind is numbers.Integral else "number"
             raise ConfigError(f"{f.name} must be a finite nonnegative {noun}, got {value!r}")
+
+
+def config_from_json(cls, section: str, value, **supplied):
+    """``cls(**value, **supplied)`` for the JSON ``value`` of config section
+    ``section``.  Raise :class:`ConfigError` unless ``value`` is an object
+    whose keys are fields of the dataclass ``cls``, other than the
+    ``supplied`` ones, and include every field without a default."""
+    if type(value) is not dict:
+        raise ConfigError(f"{section} must be a JSON object, got {value!r}")
+    expected = [f for f in dataclasses.fields(cls) if f.name not in supplied]
+    unknown = set(value) - {f.name for f in expected}
+    if unknown:
+        raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
+    missing = [f.name for f in expected if f.name not in value and f.default is dataclasses.MISSING is f.default_factory]
+    if missing:
+        raise ConfigError(f"{section} requires keys: {missing}")
+    return cls(**value, **supplied)
 
 
 class ParseError(ValueError):

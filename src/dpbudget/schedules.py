@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
-from .errors import ConfigError, InfeasibleTargetError, UsageError, check_config_fields
+from .errors import ConfigError, InfeasibleTargetError, UsageError, check_config_fields, config_from_json
 from .accounting import BUDGET_TOL, gaussian_rho
 
 DECAY_KINDS = ("time", "exp", "step", "poly")
@@ -63,23 +63,14 @@ class NoiseSchedule:
                 raise ConfigError("validation decay requires an improvement threshold")
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, "sigma0": self.sigma0}
-        for key in ("k", "period", "sigma_end", "delta_thresh", "m"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        if self.per_period:
-            out["per_period"] = True
-        return out
+        """The set fields in declaration order: no ``None`` values and no
+        false ``per_period``."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {key: value for key, value in values if value is not None and value is not False}
 
     @staticmethod
     def from_dict(d: dict) -> "NoiseSchedule":
-        unknown = set(d) - {f.name for f in fields(NoiseSchedule)}
-        if unknown:
-            raise ConfigError(f"unknown schedule keys: {sorted(unknown)}")
-        if "kind" not in d or "sigma0" not in d:
-            raise ConfigError("schedule config requires 'kind' and 'sigma0'")
-        return NoiseSchedule(**d)
+        return config_from_json(NoiseSchedule, "schedule", d)
 
 
 def uniform(sigma0: float) -> NoiseSchedule:
@@ -187,32 +178,6 @@ def epochs_until_exhaustion(schedule: NoiseSchedule, rho_total: float, max_epoch
     return epoch
 
 
-def uniform_sigma_for_epochs(epochs: int, rho_total: float) -> float:
-    """Constant noise scale spending ``rho_total`` in exactly ``epochs``
-    epochs: ``sqrt(epochs / (2 rho_total))``."""
-    if epochs < 1:
-        raise ConfigError(f"epochs must be at least 1, got {epochs}")
-    if rho_total <= 0.0:
-        raise ConfigError(f"rho_total must be positive, got {rho_total}")
-    return math.sqrt(epochs / (2.0 * rho_total))
-
-
-def _schedule_for_k(kind: str, sigma0: float, k: float, period: Optional[int], sigma_end: Optional[float]) -> NoiseSchedule:
-    if kind == "time":
-        return time_decay(sigma0, k)
-    if kind == "exp":
-        return exp_decay(sigma0, k)
-    if kind == "step":
-        if period is None:
-            raise ConfigError("step decay solving requires a period")
-        return step_decay(sigma0, k, period)
-    if kind == "poly":
-        if period is None or sigma_end is None:
-            raise ConfigError("poly decay solving requires period and sigma_end")
-        return poly_decay(sigma0, sigma_end, k, period)
-    raise ConfigError(f"cannot solve decay rate for kind {kind!r}")
-
-
 def solve_decay_rate(
     kind: str,
     sigma0: float,
@@ -240,7 +205,7 @@ def solve_decay_rate(
         raise ConfigError(f"grid must be positive and finite, got {grid}")
 
     def horizon(index: int) -> int:
-        sched = _schedule_for_k(kind, sigma0, index * grid, period, sigma_end)
+        sched = NoiseSchedule(kind, sigma0, k=index * grid, period=period, sigma_end=sigma_end)
         return epochs_until_exhaustion(sched, rho_total)
 
     # Search ranges: step factors must stay below 1 by definition; time/exp

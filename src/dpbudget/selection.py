@@ -65,8 +65,6 @@ class TuneResult:
     selected: int
     scores: List[CandidateScore]
     portion_sizes: List[int]
-    eps: float
-    seed: int
 
 
 def partition_tune(
@@ -101,6 +99,4 @@ def partition_tune(
         selected=selected,
         scores=scores,
         portion_sizes=[len(p) for p in portions],
-        eps=eps,
-        seed=seed,
     )

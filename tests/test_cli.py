@@ -132,6 +132,8 @@ class TestValidateBoundCommand:
         ["solve-k", "--kind", "exp", "--sigma0", "10", "--target", "60", "--rho-total", "inf"],
         ["solve-k", "--kind", "exp", "--sigma0", "10", "--target", "60", "--rho-total", "0.78125", "--grid", "0"],
         ["solve-k", "--kind", "exp", "--sigma0", "10", "--target", "60", "--rho-total", "0.78125", "--grid", "nan"],
+        ["solve-k", "--kind", "step", "--sigma0", "10", "--target", "60", "--rho-total", "0.78125"],
+        ["solve-k", "--kind", "poly", "--sigma0", "10", "--target", "60", "--rho-total", "0.78125", "--period", "100"],
     ],
 )
 def test_invalid_numeric_argument_exits_2(tmp_path, capsys, argv):
@@ -176,6 +178,7 @@ class TestTrainCommand:
         lines = open(out + ".csv").read().splitlines()
         assert lines[0].startswith("# dpbudget ")
         assert "# seed: 101" in lines
+        assert [l for l in lines if not l.startswith("#")][0] == "epoch,sigma,train_acc,test_acc,val_acc,cum_rho,cum_eps"
 
     def test_max_epochs_exit_code(self, tmp_path, cancer_file):
         cfg = self.make_config(tmp_path, cancer_file, {"kind": "uniform", "sigma0": 10.0}, max_epochs=2, rho_total=5.0)
@@ -316,6 +319,59 @@ class TestInvalidTrainConfigs:
             json.dump(cfg, fh)  # writes NaN and Infinity as JSON extensions
         assert run(["train", "--config", path, "--out", out]) == 2
         assert not os.path.exists(out + ".json")
+
+
+TRAIN_CONFIG = {
+    "data": {"kind": "synth", "n": 40, "d": 2},
+    "split": {"n_train": 30},
+    "model": {"hidden": [4]},
+    "schedule": {"kind": "uniform", "sigma0": 4.0},
+    "train": {"clip_norm": 1.0, "max_epochs": 2, "seed": 3, "rho_total": 1.0},
+}
+TUNE_MANIFEST = {
+    "data": {"kind": "synth", "n": 40, "d": 2},
+    "eps": 1.0,
+    "seed": 7,
+    "candidates": [{"kind": "uniform", "sigma0": 8.0}, {"kind": "uniform", "sigma0": 4.0}],
+    "train": {"clip_norm": 1.0, "max_epochs": 1, "rho_total": 1.0},
+}
+
+
+@pytest.mark.parametrize(
+    "command,document,message",
+    [
+        pytest.param(
+            "train", {**TRAIN_CONFIG, "train": {"clip_norm": 1.0, "max_epochs": 2, "rho_total": 1.0}},
+            "train requires keys: ['seed']", id="train-without-seed",
+        ),
+        pytest.param("train", {**TRAIN_CONFIG, "schedule": 5}, "schedule must be a JSON object", id="schedule-not-object"),
+        pytest.param("train", [TRAIN_CONFIG], "must be a JSON object", id="config-is-list"),
+        pytest.param("train", {**TRAIN_CONFIG, "split": 5}, "split must be a JSON object", id="split-not-object"),
+        pytest.param("train", {**TRAIN_CONFIG, "model": 5}, "model must be a JSON object", id="model-not-object"),
+        pytest.param("train", {**TRAIN_CONFIG, "split": {}}, "split.n_train", id="split-without-n_train"),
+        pytest.param(
+            "train", {**TRAIN_CONFIG, "data": {"kind": "cancer", "path": 0}}, "data.path must be a string",
+            id="data-path-not-string",
+        ),
+        pytest.param("tune", {**TUNE_MANIFEST, "seed": "abc"}, "manifest.seed", id="tune-seed-string"),
+        pytest.param("tune", {**TUNE_MANIFEST, "seed": -1}, "manifest.seed", id="tune-seed-negative"),
+        pytest.param("tune", {**TUNE_MANIFEST, "eps": "abc"}, "manifest.eps", id="tune-eps-string"),
+        pytest.param("tune", {**TUNE_MANIFEST, "candidates": 5}, "candidates must be a list", id="tune-candidates-not-list"),
+        pytest.param("tune", {**TUNE_MANIFEST, "train": 5}, "train must be a JSON object", id="tune-train-not-object"),
+        pytest.param(
+            "tune", {**TUNE_MANIFEST, "train": {**TUNE_MANIFEST["train"], "seed": 1}}, "unknown train keys: ['seed']",
+            id="tune-train-with-seed",
+        ),
+    ],
+)
+def test_bad_config_structure_exits_2(tmp_path, capsys, command, document, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    flag = "--config" if command == "train" else "--manifest"
+    assert run([command, flag, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert list(tmp_path.iterdir()) == [path]  # no run summary, CSV or selection file
 
 
 class TestTuneCommand:

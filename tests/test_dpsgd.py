@@ -44,12 +44,27 @@ class TestClipGradient:
 
 
 class TestNoisyMeanGradient:
-    def test_zero_noise_is_clipped_mean(self):
-        rng = np.random.default_rng(0)
-        per_example = rng.normal(size=(8, 5))
-        got = noisy_mean_gradient(per_example, 1.0, 0.0, 8, rng)
-        want = clip_rows(per_example, 1.0).sum(axis=0) / 8
-        assert np.allclose(got, want, atol=1e-15)
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        p=st.integers(1, 40),
+        n_zero=st.integers(0, 3),
+        clip_at=st.sampled_from(["below", "between", "above"]),
+        batch_size=st.integers(1, 100),
+        seed=st.integers(0, 2**16),
+    )
+    def test_zero_noise_is_clipped_mean(self, n, p, n_zero, clip_at, batch_size, seed):
+        rng = np.random.default_rng(seed)
+        per_example = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=(n, 1))
+        per_example[:n_zero] = 0.0
+        norms = np.linalg.norm(per_example, axis=1)
+        positive = norms[norms > 0]
+        lo, hi = (positive.min(), positive.max()) if len(positive) else (1.0, 1.0)
+        clip_norm = {"below": 0.5 * lo, "between": math.sqrt(lo * hi), "above": 2.0 * hi}[clip_at]
+        got = noisy_mean_gradient(per_example, clip_norm, 0.0, batch_size, rng)
+        want = clip_rows(per_example, clip_norm).sum(axis=0) / batch_size
+        # summation error scales with the summed terms, not with their sum
+        assert np.linalg.norm(got - want) <= 1e-12 * np.minimum(norms, clip_norm).sum() / batch_size
 
     def test_noise_std_calibrated(self):
         rng = np.random.default_rng(123)
