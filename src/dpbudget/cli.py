@@ -19,7 +19,8 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from . import __version__, accounting, data, dpsgd, nn, renyi, schedules, selection
 from .errors import (
@@ -30,6 +31,7 @@ from .errors import (
     ParseError,
     PreconditionError,
     UsageError,
+    check_config_fields,
     config_from_json,
 )
 
@@ -96,10 +98,14 @@ def _cmd_account(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _object(name: str, value: object) -> dict:
-    """``value``, which must be a JSON object."""
+def _object(name: str, value: object, keys: Sequence[str] = ()) -> dict:
+    """``value``, which must be a JSON object, and hold no key outside
+    ``keys`` if they are given."""
     if type(value) is not dict:
         raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+    unknown = set(value) - set(keys) if keys else set()
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
     return value
 
 
@@ -113,52 +119,95 @@ def _setting(section: str, spec: dict, key: str, default: object = None, integer
     return value
 
 
-def _load_dataset(spec: dict) -> data.Dataset:
+@dataclass(frozen=True)
+class CancerData:
+    """``data`` section of kind ``cancer``: a Wisconsin-format CSV file."""
+
+    kind: str
+    path: str
+
+    def __post_init__(self) -> None:
+        if type(self.path) is not str:
+            raise ConfigError(f"data.path must be a string, got {self.path!r}")
+
+    def load(self) -> data.Dataset:
+        return data.load_cancer_csv(self.path)
+
+
+@dataclass(frozen=True)
+class SynthData:
+    """``data`` section of kind ``synth``: seeded Gaussian blobs."""
+
+    kind: str
+    n: int
+    d: int
+    classes: int = 2
+    seed: int = 0
+    separation: float = 4.0
+
+    def __post_init__(self) -> None:
+        check_config_fields(self, "data")
+
+    def load(self) -> data.Dataset:
+        return data.synth_blobs(self.n, self.d, self.classes, self.seed, separation=float(self.separation))
+
+
+@dataclass(frozen=True)
+class SplitConfig:
+    """``split`` section: ``n_train`` examples for training and the rest for
+    testing; ``n_validation`` of the training examples are held out for
+    validation."""
+
+    n_train: int
+    seed: int = 0
+    n_validation: int = 0
+
+    def __post_init__(self) -> None:
+        check_config_fields(self, "split")
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """``model`` section: the MLP's hidden layer widths."""
+
+    hidden: Tuple[int, ...] = (10, 20, 10)
+
+    def __post_init__(self) -> None:
+        if type(self.hidden) not in (list, tuple) or not all(type(h) is int and h >= 1 for h in self.hidden):
+            raise ConfigError(f"model.hidden must be a list of positive integers, got {self.hidden!r}")
+
+    def build(self, dataset: data.Dataset, seed: int) -> nn.MlpModel:
+        """MLP with these hidden layers between the dataset's features and (at
+        least two) classes."""
+        return nn.MlpModel.init([dataset.n_features, *self.hidden, max(2, dataset.n_classes)], seed=seed)
+
+
+def _read_data(spec: object) -> CancerData | SynthData:
     kind = _object("data", spec).get("kind")
-    if kind == "cancer":
-        path = spec.get("path")
-        if type(path) is not str:
-            raise ConfigError(f"data.path must be a string, got {path!r}")
-        return data.load_cancer_csv(path)
-    if kind == "synth":
-        return data.synth_blobs(
-            n=_setting("data", spec, "n"),
-            d=_setting("data", spec, "d"),
-            n_classes=_setting("data", spec, "classes", 2),
-            seed=_setting("data", spec, "seed", 0),
-            separation=float(_setting("data", spec, "separation", 4.0, integer=False)),
-        )
-    raise ConfigError(f"unknown data kind {kind!r} (expected 'cancer' or 'synth')")
-
-
-def _build_model(dataset: data.Dataset, spec: dict, seed: int) -> nn.MlpModel:
-    """MLP with the spec's ``model.hidden`` layers between the dataset's
-    features and (at least two) classes."""
-    hidden = _object("model", spec.get("model", {})).get("hidden", [10, 20, 10])
-    if type(hidden) is not list or not all(type(h) is int and h >= 1 for h in hidden):
-        raise ConfigError(f"model.hidden must be a list of positive integers, got {hidden!r}")
-    return nn.MlpModel.init([dataset.n_features] + list(hidden) + [max(2, dataset.n_classes)], seed=seed)
+    if kind not in ("cancer", "synth"):
+        raise ConfigError(f"unknown data kind {kind!r} (expected 'cancer' or 'synth')")
+    return config_from_json(CancerData if kind == "cancer" else SynthData, "data", spec)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = _object(args.config, json.load(fh))
+        cfg = _object(args.config, json.load(fh), keys=("data", "split", "model", "schedule", "train"))
     schedule = schedules.NoiseSchedule.from_dict(cfg["schedule"])
     config = config_from_json(dpsgd.TrainConfig, "train", cfg["train"], schedule=schedule)
+    data_config = _read_data(cfg["data"])
+    split = None if cfg.get("split") is None else config_from_json(SplitConfig, "split", cfg["split"])
+    model_config = config_from_json(ModelConfig, "model", cfg.get("model", {}))
 
-    dataset = _load_dataset(cfg["data"])
-    split = cfg.get("split")
+    dataset = data_config.load()
     validation = None
     if split is not None:
-        split_seed = _setting("split", split, "seed", 0)
-        train_set, test_set = data.train_test_split(dataset, _setting("split", split, "n_train"), split_seed)
-        n_val = _setting("split", split, "n_validation", 0)
-        if n_val:
-            train_set, validation = data.train_test_split(train_set, len(train_set) - n_val, split_seed + 1)
+        train_set, test_set = data.train_test_split(dataset, split.n_train, split.seed)
+        if split.n_validation:
+            train_set, validation = data.train_test_split(train_set, len(train_set) - split.n_validation, split.seed + 1)
     else:
         train_set, test_set = dataset, None
 
-    model = _build_model(train_set, cfg, config.seed)
+    model = model_config.build(train_set, config.seed)
 
     report = dpsgd.train(config, train_set, model, test_data=test_set, validation_data=validation)
 
@@ -201,6 +250,7 @@ def _cmd_solve_k(args: argparse.Namespace) -> int:
 def _cmd_validate_bound(args: argparse.Namespace) -> int:
     if args.point is not None:
         q, sigma = args.point
+        accounting.check_rs_ratio(q, sigma)  # a point outside the grid's range would check nothing
         report = renyi.validate_moment_bound([sigma], q_step=1.0, q_start=q, alpha_cap=args.alpha_cap)
     else:
         if args.smoke:
@@ -230,8 +280,9 @@ def _cmd_validate_bound(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
-        manifest = _object(args.manifest, json.load(fh))
-    dataset = _load_dataset(manifest["data"])
+        manifest = _object(args.manifest, json.load(fh), keys=("data", "model", "candidates", "train", "eps", "seed"))
+    dataset = _read_data(manifest["data"]).load()
+    model_config = config_from_json(ModelConfig, "model", manifest.get("model", {}))
     if type(manifest["candidates"]) is not list:
         raise ConfigError(f"candidates must be a list, got {manifest['candidates']!r}")
     candidates = [schedules.NoiseSchedule.from_dict(d) for d in manifest["candidates"]]
@@ -241,7 +292,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
     def train_candidate(index: int, portion: data.Dataset):
         config = config_from_json(dpsgd.TrainConfig, "train", manifest["train"], seed=seed + 1 + index, schedule=candidates[index])
-        model = _build_model(portion, manifest, config.seed)
+        model = model_config.build(portion, config.seed)
         dpsgd.train(config, portion, model)
         return lambda features: nn.predict(model, features)
 

@@ -33,23 +33,25 @@ class ConfigError(ValueError):
     """A schedule or run configuration is internally inconsistent."""
 
 
-def check_config_fields(config) -> None:
+def check_config_fields(config, section: str = "") -> None:
     """Raise :class:`ConfigError` unless every field of the dataclass
     ``config`` annotated ``int``, ``float`` or ``bool`` holds a value of that
     type: a finite nonnegative number (an integer for ``int``) or a boolean.
-    ``None`` is accepted only where the annotation is ``Optional``."""
+    ``None`` is accepted only where the annotation is ``Optional``.  The
+    message names the field as ``section.field`` if ``section`` is given."""
     for f in dataclasses.fields(config):
         optional = f.type.startswith("Optional[")
         kind = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}.get(f.type.removeprefix("Optional[").rstrip("]"))
         value = getattr(config, f.name)
         if kind is None or (optional and value is None):
             continue
+        name = f"{section}.{f.name}" if section else f.name
         if kind is bool:
             if not isinstance(value, bool):
-                raise ConfigError(f"{f.name} must be true or false, got {value!r}")
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
         elif isinstance(value, bool) or not isinstance(value, kind) or not 0 <= value < math.inf:
             noun = "integer" if kind is numbers.Integral else "number"
-            raise ConfigError(f"{f.name} must be a finite nonnegative {noun}, got {value!r}")
+            raise ConfigError(f"{name} must be a finite nonnegative {noun}, got {value!r}")
 
 
 def config_from_json(cls, section: str, value, **supplied):

@@ -1,16 +1,22 @@
-"""Numerical Renyi-divergence machinery for the subsampled Gaussian mechanism.
+"""Renyi-divergence machinery for the subsampled Gaussian mechanism.
 
 The central object is the order-``alpha`` Renyi divergence between the
 one-dimensional mixture ``q N(1, sigma^2) + (1-q) N(0, sigma^2)`` and
-``N(0, sigma^2)`` (and its reverse).  It is computed by deterministic
-composite Gauss-Legendre quadrature of the ``alpha``-power integrand in log
-space, so orders up to a few hundred are handled without overflow.  On top of
-it sit:
+``N(0, sigma^2)``.  At integer orders it has the closed form (Abadi et al.
+2016, arXiv:1607.00133)
+
+    exp((alpha-1) D_alpha) = 1 + sum_{j=2..alpha} C(alpha, j) q^j (1-q)^(alpha-j) (exp(j(j-1)/(2 sigma^2)) - 1),
+
+whose terms are all nonnegative, so it is summed in log space to rounding
+accuracy even where ``D_alpha`` is tiny.  Only integer orders are supported.
+The reverse divergence ``D_alpha(base || mixture)`` is not computed: it never
+exceeds the forward one (Mironov, Talwar & Zhang 2019, arXiv:1908.10530,
+Thm 5).  On top of it sit:
 
 * a moments-accountant epsilon for k-fold composition, optimizing the usual
   ``(k * log_moment(lambda) + log(1/delta)) / lambda`` over integer orders;
 * a grid validator checking the closed-form bound
-  ``D_alpha <= q^2 alpha / sigma^2`` against the numerics;
+  ``D_alpha <= q^2 alpha / sigma^2`` against the exact divergence;
 * a changepoint locator for the divergence-versus-order curve.
 """
 
@@ -21,23 +27,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import roots_legendre
+from scipy.special import gammaln
 
 from .accounting import EpsDelta, rs_order_cap
 from .errors import DomainError, NumericalError
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-# Quadrature layout: 16-node Gauss-Legendre panels of width sigma/2 spanning
-# [-TAIL sigma, peak + TAIL sigma].  The integrand's rightmost peak sits near
-# z = alpha, with curvature ~1/sigma^2, so 16 panel-widths of tail leave
-# relative truncation error below e^-72.  A second pass at half the panel
-# width guards against silent inaccuracy.
-_NODES_16, _WEIGHTS_16 = roots_legendre(16)
-_TAIL_SIGMAS = 16.0
-_REFINE_RTOL = 1e-9
-# The orders of one call are worked through in blocks of at most this many
-# (order, node) entries, so the temporaries stay near half a megabyte each.
+# Work on at most this many (row, column) entries at a time, so that large
+# order caps or epoch counts keep bounded temporaries.
 _BLOCK_ENTRIES = 1 << 16
 # Highest moment order of the accountant and of the bound validation.
 _ORDER_CAP = 200
@@ -49,73 +45,44 @@ def _blocks(n_rows: int, row_len: int) -> List[slice]:
     return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
-def _log_renyi_powers(q: float, sigma: float, alphas: Sequence[float], reverse: bool) -> np.ndarray:
-    """``(alpha - 1) * D_alpha`` at every order in ``alphas``: the log of the
-    integral of ``p(z)^alpha r(z)^(1-alpha)`` over the line, where (p, r) is
-    (mixture, base) or reversed.
+def _log_moments(q: float, sigma: float, alphas: np.ndarray) -> np.ndarray:
+    """``(alpha - 1) * D_alpha(mixture || base)`` at every integer order in
+    ``alphas`` (each at least 2; integral floats such as ``100.0`` too), from
+    the closed form in the module docstring.
 
-    The log integrand is affine in alpha, so all orders share one node set
-    per pass, sized for the largest order; the orders are worked through in
-    blocks of at most ``_BLOCK_ENTRIES`` (order, node) entries.  Each order's
-    fine-pass value must agree with its coarse-pass value.
+    Row ``alpha`` of the (order x j) matrix holds the log of term j, or -inf
+    for j > alpha; each row is reduced by a log-sum-exp and then ``log1p``.
     """
-    alphas = np.asarray(alphas, dtype=np.float64)
     if not 0.0 < q <= 1.0:
         raise DomainError(f"sampling ratio q must lie in (0, 1], got {q}")
     if not 0.0 < sigma < math.inf:
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
-    if not (alphas.size and np.all((alphas > 1.0) & (alphas < math.inf))):
-        raise DomainError(f"orders must be finite and exceed 1, got {alphas}")
-    lo = -_TAIL_SIGMAS * sigma
-    hi = (1.0 if reverse else max(1.0, float(alphas.max()))) + _TAIL_SIGMAS * sigma
-    norm = -math.log(sigma) - _LOG_SQRT_2PI
-    passes = []
-    for panel_width in (0.5, 0.25):
-        n_panels = int(math.ceil((hi - lo) / (panel_width * sigma)))
-        edges = np.linspace(lo, hi, n_panels + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * (edges[1:] - edges[:-1])
-        z = (centers[:, None] + halves[:, None] * _NODES_16[None, :]).ravel()
-        w = (halves[:, None] * _WEIGHTS_16[None, :]).ravel()
-        log_base = -z * z / (2.0 * sigma * sigma) + norm
-        log_shift = -(z - 1.0) ** 2 / (2.0 * sigma * sigma) + norm
-        log_mix = log_shift if q >= 1.0 else np.logaddexp(math.log(q) + log_shift, math.log1p(-q) + log_base)
-        log_p, log_r = (log_base, log_mix) if reverse else (log_mix, log_base)
-        out = np.empty(alphas.size)
-        for rows in _blocks(alphas.size, z.size):
-            a = alphas[rows, None]
-            log_integrand = a * log_p + (1.0 - a) * log_r
-            peak = log_integrand.max(axis=1)
-            out[rows] = peak + np.log(np.sum(w * np.exp(log_integrand - peak[:, None]), axis=1))
-        passes.append(out)
-    coarse, fine = passes
-    unconverged = np.flatnonzero(~(np.abs(fine - coarse) <= _REFINE_RTOL * np.maximum(1.0, np.abs(fine))))
-    if unconverged.size:
-        i = unconverged[0]
-        raise NumericalError(
-            "quadrature failed to converge for subsampled Renyi divergence",
-            diagnostics={"q": q, "sigma": sigma, "alpha": float(alphas[i]), "reverse": reverse,
-                         "coarse": float(coarse[i]), "fine": float(fine[i])},
-        )
-    return fine
+    if not (alphas.size and 2 <= alphas.min() and alphas.max() < math.inf and np.all(alphas == np.floor(alphas))):
+        raise DomainError(f"orders must be integers of at least 2, got {alphas}")
+    alphas = alphas.astype(np.int64)
+    if q == 1.0:  # two unit-separated Gaussians: only the j = alpha term is left
+        return alphas * (alphas - 1.0) / (2.0 * sigma * sigma)
+    j = np.arange(2, int(alphas.max()) + 1)
+    log_fact = gammaln(np.arange(1.0, j[-1] + 2.0))  # log(n!) for n = 0..max order
+    x = j * (j - 1.0) / (2.0 * sigma * sigma)
+    log_col = j * math.log(q) - log_fact[j] + x + np.log(-np.expm1(-x))  # log(q^j (e^x - 1) / j!)
+    out = np.empty(alphas.size)
+    for rows in _blocks(alphas.size, j.size):
+        a = alphas[rows, None]
+        k = a - j
+        terms = log_fact[a] - log_fact[np.maximum(k, 0)] + k * math.log1p(-q) + log_col
+        terms = np.where(k >= 0, terms, -math.inf)
+        peak = terms.max(axis=1, keepdims=True)
+        out[rows] = np.logaddexp(0.0, peak[:, 0] + np.log(np.sum(np.exp(terms - peak), axis=1)))
+    return out
 
 
-def _worst_direction(q: float, sigma: float, alphas: np.ndarray) -> np.ndarray:
-    """``D_alpha`` at every order, maximized over the two directions."""
-    both = np.maximum(_log_renyi_powers(q, sigma, alphas, False), _log_renyi_powers(q, sigma, alphas, True))
-    return both / (alphas - 1.0)
-
-
-def subsampled_renyi_divergence(
-    q: float, sigma: float, alpha: float, reverse: bool = False
-) -> float:
-    """Order-``alpha`` Renyi divergence of the subsampled Gaussian mechanism.
-
-    Forward direction is ``D_alpha(mixture || base)``; ``reverse=True`` gives
-    ``D_alpha(base || mixture)``.  ``q = 1`` degenerates to two unit-separated
-    Gaussians, for which the divergence is ``alpha / (2 sigma^2)``.
-    """
-    return float(_log_renyi_powers(q, sigma, [alpha], bool(reverse))[0]) / (alpha - 1.0)
+def subsampled_renyi_divergence(q: float, sigma: float, alpha: float) -> float:
+    """Order-``alpha`` Renyi divergence ``D_alpha(mixture || base)`` of the
+    subsampled Gaussian mechanism, for an integral order ``alpha >= 2``
+    (``100`` or ``100.0``).  ``q = 1`` degenerates to two unit-separated
+    Gaussians, for which the divergence is ``alpha / (2 sigma^2)``."""
+    return float(_log_moments(q, sigma, np.array([alpha]))[0]) / (alpha - 1.0)
 
 
 def divergence_changepoint(q: float, sigma: float, alpha_max: int = _ORDER_CAP) -> int:
@@ -128,8 +95,8 @@ def divergence_changepoint(q: float, sigma: float, alpha_max: int = _ORDER_CAP) 
     slope ``1/(2 sigma^2)``.
     """
     gaussian_slope = 1.0 / (2.0 * sigma * sigma)
-    alphas = np.arange(2.0, alpha_max + 1)
-    curve = _log_renyi_powers(q, sigma, alphas, False) / (alphas - 1.0)
+    alphas = np.arange(2, alpha_max + 1)
+    curve = _log_moments(q, sigma, alphas) / (alphas - 1.0)
     takeoff = np.flatnonzero(np.diff(curve) > 0.5 * gaussian_slope)
     if takeoff.size:
         return int(alphas[takeoff[0] + 1])
@@ -169,8 +136,7 @@ def moments_accountant_curve(
 ) -> np.ndarray:
     """Per-epoch accountant epsilons for a fixed-(q, sigma) run.
 
-    The per-step log moments ``lam * D_{lam+1}`` (the larger direction) are
-    computed once for the orders ``lam = 1..lambda_max`` and reused across
+    The per-step log moments ``lam * D_{lam+1}`` are computed once for the orders ``lam = 1..lambda_max`` and reused across
     epochs.
     """
     if epochs < 0 or iters_per_epoch < 0:
@@ -182,7 +148,7 @@ def moments_accountant_curve(
     if lambda_max < 1:
         raise DomainError(f"lambda_max must be at least 1, got {lambda_max}")
     lams = np.arange(1, lambda_max + 1)
-    moments = lams * _worst_direction(q, sigma, lams + 1.0)
+    moments = _log_moments(q, sigma, lams + 1)
     steps = np.arange(1, epochs + 1) * iters_per_epoch
     log_inv_delta = math.log(1.0 / delta)
     out = np.empty(epochs)
@@ -249,18 +215,18 @@ def validate_moment_bound(
     """Check ``D_alpha <= q^2 alpha / sigma^2`` numerically over a grid.
 
     For each (q, sigma) the integer orders 2..min(order cap, alpha_cap) are
-    tested in both divergence directions; violations are recorded in the
-    report, never raised.
+    tested in the forward direction, which dominates the reverse one;
+    violations are recorded in the report, never raised.
     """
     if not alpha_cap >= 2:
         raise DomainError(f"alpha_cap must be at least 2, got {alpha_cap}")
     report = BoundReport()
     for q, sigma in moment_bound_grid(sigmas, q_step=q_step, q_start=q_start):
         u_alpha = min(rs_order_cap(q, sigma), float(alpha_cap))
-        alphas = np.arange(2.0, math.floor(u_alpha) + 1)
+        alphas = np.arange(2, math.floor(u_alpha) + 1)
         if not alphas.size:
             continue
-        divergence = _worst_direction(q, sigma, alphas)
+        divergence = _log_moments(q, sigma, alphas) / (alphas - 1.0)
         bound = q * q * alphas / (sigma * sigma)
         report.n_points += alphas.size
         report.worst_slack = min(report.worst_slack, float(np.min(bound - divergence)))

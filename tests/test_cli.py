@@ -122,6 +122,7 @@ class TestValidateBoundCommand:
         ["validate-bound", "--point", "nan", "4"],
         ["validate-bound", "--point", "0.01", "-4"],
         ["validate-bound", "--point", "0.01", "inf"],
+        ["validate-bound", "--point", "1.0", "0.01"],
         ["validate-bound", "--alpha-cap", "-3"],
         ["validate-bound", "--sigma-min", "3", "--sigma-max", "2"],
         ["validate-bound", "--sigma-step", "0"],
@@ -141,6 +142,16 @@ def test_invalid_numeric_argument_exits_2(tmp_path, capsys, argv):
     assert run(argv + out) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("point", [["0.5", "2.0"], ["0.01", "8.0"], ["0.0021", "30"]])
+def test_point_outside_ratio_bound_exits_3(tmp_path, capsys, point):
+    # q > 1/(16 sigma): the moment bound is not claimed there, so nothing
+    # would be checked
+    out = tmp_path / "x.json"
+    assert run(["validate-bound", "--point", *point, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("infeasible: ")
+    assert not out.exists()
 
 
 class TestTrainCommand:
@@ -273,13 +284,12 @@ INVALID_VALUES = st.one_of(
 )
 
 
-# keys of the data, split and model sections; "hidden" stands for its list
-DATASET_KEYS = [
-    ("data", ("n", "int")), ("data", ("d", "int")), ("data", ("classes", "int")),
-    ("data", ("seed", "int")), ("data", ("separation", "float")),
-    ("split", ("n_train", "int")), ("split", ("seed", "int")), ("split", ("n_validation", "int")),
-    ("model", ("hidden", "List[int]")),
-]
+# keys of the synth data, split and model sections
+DATASET_KEYS = (
+    [("data", key) for key in config_keys(cli.SynthData, skip={"kind"})]
+    + [("split", key) for key in config_keys(cli.SplitConfig)]
+    + [("model", key) for key in config_keys(cli.ModelConfig)]
+)
 
 
 class TestInvalidTrainConfigs:
@@ -348,7 +358,29 @@ TUNE_MANIFEST = {
         pytest.param("train", [TRAIN_CONFIG], "must be a JSON object", id="config-is-list"),
         pytest.param("train", {**TRAIN_CONFIG, "split": 5}, "split must be a JSON object", id="split-not-object"),
         pytest.param("train", {**TRAIN_CONFIG, "model": 5}, "model must be a JSON object", id="model-not-object"),
-        pytest.param("train", {**TRAIN_CONFIG, "split": {}}, "split.n_train", id="split-without-n_train"),
+        pytest.param("train", {**TRAIN_CONFIG, "split": {}}, "split requires keys: ['n_train']", id="split-without-n_train"),
+        pytest.param(
+            "train", {**TRAIN_CONFIG, "split": {"n_train": 30, "seed": -1}}, "split.seed must be a finite nonnegative",
+            id="split-seed-negative",
+        ),
+        pytest.param(
+            "train", {**TRAIN_CONFIG, "split": {"n_train": 30, "sed": 4}}, "unknown split keys: ['sed']",
+            id="split-unknown-key",
+        ),
+        pytest.param(
+            "train", {**TRAIN_CONFIG, "model": {"hiden": [50, 50]}}, "unknown model keys: ['hiden']",
+            id="model-unknown-key",
+        ),
+        pytest.param(
+            "train", {**TRAIN_CONFIG, "splitt": {"n_train": 30}}, "keys: ['splitt']", id="unknown-top-level-section",
+        ),
+        pytest.param(
+            "train", {**TRAIN_CONFIG, "data": {**TRAIN_CONFIG["data"], "path": "x.csv"}}, "unknown data keys: ['path']",
+            id="synth-data-with-path",
+        ),
+        pytest.param(
+            "tune", {**TUNE_MANIFEST, "candidate": []}, "keys: ['candidate']", id="tune-unknown-top-level-key",
+        ),
         pytest.param(
             "train", {**TRAIN_CONFIG, "data": {"kind": "cancer", "path": 0}}, "data.path must be a string",
             id="data-path-not-string",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
 from dpbudget import data, dpsgd, nn, schedules
 from dpbudget.accounting import BUDGET_TOL
@@ -470,6 +471,56 @@ class TestSpendProperties:
         iterations = {(step.epoch, step.iteration) for step in report.ledger.steps}
         assert len(report.ledger.steps) == (2 if per_layer_clip else 1) * len(iterations)
         assert_replay_exact(report.ledger)
+
+
+DETERMINISTIC_SCHEDULES = {
+    "uniform": lambda sigma0: schedules.uniform(sigma0),
+    "time": lambda sigma0: schedules.time_decay(sigma0, 0.2),
+    "exp": lambda sigma0: schedules.exp_decay(sigma0, 0.2),
+    "step": lambda sigma0: schedules.step_decay(sigma0, 0.5, period=2),
+    "poly": lambda sigma0: schedules.poly_decay(sigma0, sigma0 / 4.0, 1.0, period=5),
+}
+
+
+def gaussian_delta(eps, mu):
+    """Exact delta(eps) of a mu-GDP mechanism (Balle & Wang 2018,
+    arXiv:1805.06530; Dong, Roth & Su 2019, arXiv:1905.02383)."""
+    return ndtr(-eps / mu + mu / 2.0) - math.exp(eps) * ndtr(-eps / mu - mu / 2.0)
+
+
+class TestLedgerAgainstExactGaussianComposition:
+    """rf training releases Gaussian mechanisms of sensitivity C and noise
+    sigma_i C, one per ledger step; their composition is exactly mu-GDP with
+    mu = sqrt(sum 1/sigma_i^2).  The reported (eps, delta) must hold for that
+    mechanism: delta(eps_reported) <= delta.  The validation schedule is
+    excluded because it picks sigma from data, which makes the composition
+    adaptive and this formula no longer the statement to test."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(DETERMINISTIC_SCHEDULES)),
+        sigma0=st.floats(0.5, 20.0),
+        rho_total=st.floats(0.01, 3.0),
+        batch_size=st.integers(1, len(SPEND_BLOBS)),
+        per_layer_clip=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_reported_eps_holds_for_exact_gdp(self, kind, sigma0, rho_total, batch_size, per_layer_clip, seed):
+        schedule = DETERMINISTIC_SCHEDULES[kind](sigma0)
+        config = TrainConfig(
+            schedule=schedule, clip_norm=1.0, max_epochs=6, seed=seed,
+            rho_total=rho_total, batch_size=batch_size, per_layer_clip=per_layer_clip,
+        )
+        model = nn.MlpModel.init([2, 4, 2], seed=seed)
+        report = train(config, SPEND_BLOBS, model)
+        releases = len(model.weights) if per_layer_clip else 1
+        assert [step.sigma for step in report.ledger.steps] == [
+            schedules.sigma_at(schedule, epoch) for epoch in range(report.epochs_run) for _ in range(releases)
+        ]
+        if not report.ledger.steps:
+            return
+        mu = math.sqrt(sum(1.0 / (step.sigma * step.sigma) for step in report.ledger.steps))
+        assert gaussian_delta(report.final_privacy.eps, mu) <= config.delta
 
 
 def per_example_update(model, batch, indices, sigma, lr, config, rng, lot_size):

@@ -21,7 +21,28 @@ def binomial_log_power(q, sigma, alpha):
     return float(logsumexp(terms))
 
 
-class TestDivergenceQuadrature:
+def mpmath_divergence(q, sigma, alpha, reverse=False):
+    """Independent oracle at 40 digits: D_alpha(mixture || base), or
+    D_alpha(base || mixture) if ``reverse``, by mpmath quadrature of the
+    order-alpha integrand over the line."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        mq, ms, ma = mp.mpf(q), mp.mpf(sigma), mp.mpf(alpha)
+        norm = 1 / (ms * mp.sqrt(2 * mp.pi))
+
+        def integrand(z):
+            base = norm * mp.exp(-(z ** 2) / (2 * ms ** 2))
+            mix = mq * norm * mp.exp(-((z - 1) ** 2) / (2 * ms ** 2)) + (1 - mq) * base
+            p, r = (base, mix) if reverse else (mix, base)
+            return p ** ma * r ** (1 - ma)
+
+        peak = 1 if reverse else ma  # the forward integrand peaks near z = alpha
+        total = mp.quad(integrand, [-mp.inf, -12 * ms, 0, 1, peak, peak + 12 * ms, mp.inf])
+        return mp.log(total) / (ma - 1)
+
+
+class TestDivergence:
     @pytest.mark.parametrize("q,sigma", [(0.01, 4.0), (0.01, 6.0), (0.005, 2.0), (0.03, 2.0), (0.1, 1.0), (0.5, 1.0), (0.9, 1.0), (0.5, 4.0)])
     @pytest.mark.parametrize("alpha", [2, 10, 50, 147, 200])
     def test_matches_binomial_oracle(self, q, sigma, alpha):
@@ -30,112 +51,111 @@ class TestDivergenceQuadrature:
         assert got == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("sigma", [1.0, 4.0, 6.0])
-    @pytest.mark.parametrize("alpha", [2.0, 7.5, 50.0])
+    @pytest.mark.parametrize("alpha", [2, 7, 50])
     def test_gaussian_identity_at_q1(self, sigma, alpha):
         got = renyi.subsampled_renyi_divergence(1.0, sigma, alpha)
-        assert got == pytest.approx(alpha / (2 * sigma * sigma), abs=1e-6)
+        assert got == pytest.approx(alpha / (2 * sigma * sigma), rel=1e-15)
 
     def test_moment_bound_single_point(self):
         d = renyi.subsampled_renyi_divergence(0.01, 6.0, 50.0)
         assert d <= 50 * 0.01 ** 2 / 36.0
-
-    @pytest.mark.parametrize("q,sigma", [(0.01, 4.0), (0.03, 2.0)])
-    def test_bound_near_order_one(self, q, sigma):
-        # as alpha -> 1+ both sides shrink toward the KL scale and the
-        # closed-form bound still dominates
-        alpha = 1.0001
-        d = renyi.subsampled_renyi_divergence(q, sigma, alpha)
-        assert 0.0 <= d <= q * q * alpha / (sigma * sigma)
-
-    def test_reverse_direction_is_bounded(self):
-        # the base-vs-mixture density ratio is at most 1/(1-q), so the
-        # reverse divergence stays below -log(1-q) at every order
-        for alpha in (2.0, 50.0, 150.0):
-            d = renyi.subsampled_renyi_divergence(0.01, 4.0, alpha, reverse=True)
-            assert 0.0 <= d <= -math.log1p(-0.01) + 1e-9
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
             renyi.subsampled_renyi_divergence(0.0, 4.0, 2.0)
         with pytest.raises(DomainError):
             renyi.subsampled_renyi_divergence(0.01, -1.0, 2.0)
+
+    @pytest.mark.parametrize("alpha", [2.5, 1.0001, math.nan, math.inf, 1.0, 1, 0, -3.0, 199.999])
+    def test_non_integer_or_small_order_rejected(self, alpha):
         with pytest.raises(DomainError):
-            renyi.subsampled_renyi_divergence(0.01, 4.0, 1.0)
-
-    def test_nonconvergence_raises_with_diagnostics(self, monkeypatch):
-        from dpbudget.errors import NumericalError
-
-        monkeypatch.setattr(renyi, "_REFINE_RTOL", -1.0)  # force refinement mismatch
-        with pytest.raises(NumericalError) as err:
-            renyi.subsampled_renyi_divergence(0.013, 5.5, 17.0)
-        assert err.value.diagnostics["q"] == 0.013
-        assert err.value.diagnostics["alpha"] == 17.0
-        with pytest.raises(NumericalError) as err:
-            renyi.validate_moment_bound([5.5], q_step=1.0, q_start=0.011)
-        assert err.value.diagnostics["q"] == 0.011
-        assert "alpha" in err.value.diagnostics
+            renyi.subsampled_renyi_divergence(0.01, 4.0, alpha)
 
 
-class TestBatchedOrders:
-    """One call evaluates many orders on a node set sized for the largest."""
+class TestAllOrders:
+    """One call evaluates every order of one (q, sigma) as one matrix."""
 
     @pytest.mark.parametrize("q,sigma", [(0.01, 4.0), (0.01, 6.0), (0.005, 2.0), (0.03, 2.0), (0.1, 1.0), (0.5, 1.0), (0.9, 1.0), (0.5, 4.0)])
     def test_every_order_matches_binomial_oracle(self, q, sigma):
-        alphas = np.arange(2.0, 201.0)
-        got = renyi._log_renyi_powers(q, sigma, alphas, False)
+        alphas = np.arange(2, 201)
+        got = renyi._log_moments(q, sigma, alphas)
         for alpha, value in zip(alphas, got):
             oracle = binomial_log_power(q, sigma, int(alpha))
             assert value == pytest.approx(oracle, rel=1e-9, abs=1e-12), alpha
 
     @pytest.mark.parametrize("q,sigma", [(0.01, 4.0), (0.005, 2.0), (0.5, 1.0)])
-    def test_reverse_batch_equals_one_order_calls(self, q, sigma):
-        alphas = np.array([2.0, 3.5, 17.0, 90.0, 200.0])
-        batched = renyi._log_renyi_powers(q, sigma, alphas, True) / (alphas - 1.0)
+    def test_batch_equals_one_order_calls(self, q, sigma):
+        alphas = np.array([2, 3, 17, 90, 200])
+        batched = renyi._log_moments(q, sigma, alphas) / (alphas - 1.0)
         for alpha, value in zip(alphas, batched):
-            single = renyi.subsampled_renyi_divergence(q, sigma, alpha, reverse=True)
-            assert value == pytest.approx(single, rel=1e-12, abs=0.0)
+            single = renyi.subsampled_renyi_divergence(q, sigma, alpha)
+            assert value == pytest.approx(single, rel=1e-14, abs=0.0)
 
     def test_block_size_does_not_change_values(self, monkeypatch):
-        alphas = np.arange(2.0, 60.0)
-        whole = renyi._log_renyi_powers(0.02, 3.0, alphas, False)
+        alphas = np.arange(2, 60)
+        whole = renyi._log_moments(0.02, 3.0, alphas)
         monkeypatch.setattr(renyi, "_BLOCK_ENTRIES", 1)  # one order per block
-        assert np.array_equal(renyi._log_renyi_powers(0.02, 3.0, alphas, False), whole)
+        assert np.array_equal(renyi._log_moments(0.02, 3.0, alphas), whole)
 
-    @pytest.mark.parametrize("alphas", [[], [2.0, 1.0], [2.0, math.nan], [math.inf]])
+    @pytest.mark.parametrize("alphas", [[], [2, 1], [2.0, 2.5], [2.0, math.nan], [math.inf]])
     def test_bad_orders_rejected(self, alphas):
         with pytest.raises(DomainError):
-            renyi._log_renyi_powers(0.01, 4.0, alphas, False)
+            renyi._log_moments(0.01, 4.0, np.array(alphas))
+
+    def test_integral_float_orders_accepted(self):
+        whole = renyi._log_moments(0.02, 3.0, np.arange(2, 60))
+        assert np.array_equal(renyi._log_moments(0.02, 3.0, np.arange(2.0, 60.0)), whole)
+        lam = renyi.moments_accountant_eps(0.01, 6.0, 100, 1e-5, lambda_max=150)
+        assert renyi.moments_accountant_eps(0.01, 6.0, 100, 1e-5, lambda_max=150.0) == lam
 
 
-class TestFractionalOrderOracle:
-    """Arbitrary-precision quadrature (mpmath, an entirely separate stack)
-    as the oracle for non-integer orders, where the binomial expansion does
-    not apply."""
+class TestIntegerOrderOracle:
+    """Arbitrary-precision quadrature (mpmath, an entirely separate stack) as
+    the oracle for the closed form, including divergences far below 1e-6,
+    where only a log-space sum of nonnegative terms keeps full accuracy."""
 
     @pytest.mark.parametrize("q,sigma,alpha", [
-        (0.01, 2.0, 2.5),
-        (0.01, 6.0, 7.5),
-        (0.3, 1.5, 3.25),
-        (0.05, 4.0, 33.5),
+        (0.01, 2.0, 2),
+        (0.001, 30.0, 2),
+        (0.002, 29.9, 2),
+        (0.002, 29.9, 200),
+        (0.001, 30.0, 200),
+        (0.03, 2.0, 200),
+        (0.001, 2.0, 57),
+        (0.01, 4.0, 100),
+        (0.01, 4.0, 150),
+        (0.0156, 4.0, 190),
+        (0.005, 8.0, 33),
+        (0.003, 12.0, 120),
+        (0.3, 1.5, 3),
+        (0.05, 1.0, 20),
     ])
     def test_matches_mpmath(self, q, sigma, alpha):
-        import mpmath as mp
-
-        with mp.workdps(40):
-            mq, ms, ma = mp.mpf(q), mp.mpf(sigma), mp.mpf(alpha)
-            norm = 1 / (ms * mp.sqrt(2 * mp.pi))
-
-            def integrand(z):
-                base = norm * mp.e ** (-(z ** 2) / (2 * ms ** 2))
-                shift = norm * mp.e ** (-((z - 1) ** 2) / (2 * ms ** 2))
-                mix = mq * shift + (1 - mq) * base
-                return mix ** ma * base ** (1 - ma)
-
-            points = [-mp.inf, -12 * ms, 0, 1, ma, ma + 12 * ms, mp.inf]
-            total = mp.quad(integrand, points)
-            oracle = float(mp.log(total) / (ma - 1))
+        oracle = float(mpmath_divergence(q, sigma, alpha))
         got = renyi.subsampled_renyi_divergence(q, sigma, alpha)
-        assert got == pytest.approx(oracle, rel=1e-10, abs=1e-14)
+        assert got == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def _grid_points(n, seed):
+    """``n`` seeded (q, sigma, alpha) with sigma in [2, 30], q in [1e-4,
+    1/(16 sigma)] and alpha in 2..the order cap of the bound validation."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(n):
+        sigma = float(rng.uniform(2.0, 30.0))
+        q = float(rng.uniform(1e-4, 1.0 / (16.0 * sigma)))
+        cap = min(renyi._ORDER_CAP, math.floor(accounting.rs_order_cap(q, sigma)))
+        points.append((q, sigma, int(rng.integers(2, cap + 1))))
+    return points
+
+
+@pytest.mark.parametrize("q,sigma,alpha", _grid_points(24, seed=20190908))
+def test_reverse_divergence_never_exceeds_forward(q, sigma, alpha):
+    # Mironov, Talwar & Zhang 2019 (Thm 5): the forward direction dominates,
+    # which is why only the forward divergence is evaluated
+    forward = mpmath_divergence(q, sigma, alpha)
+    reverse = mpmath_divergence(q, sigma, alpha, reverse=True)
+    assert reverse <= forward
 
 
 class TestQuasiConvexityProperty:
@@ -144,10 +164,7 @@ class TestQuasiConvexityProperty:
     @pytest.mark.parametrize("alpha", [2.0, 10.0, 50.0])
     def test_sampling_never_exceeds_unsampled_divergence(self, q, sigma, alpha):
         line = alpha / (2 * sigma * sigma)
-        forward = renyi.subsampled_renyi_divergence(q, sigma, alpha)
-        backward = renyi.subsampled_renyi_divergence(q, sigma, alpha, reverse=True)
-        assert forward <= line + 1e-9
-        assert backward <= line + 1e-9
+        assert renyi.subsampled_renyi_divergence(q, sigma, alpha) <= line + 1e-9
 
 
 class TestChangepoint:
@@ -251,17 +268,14 @@ class TestBoundValidation:
         assert report.worst_slack == math.inf
 
     def test_violation_is_streamed_into_the_report(self, monkeypatch):
-        # inflate the forward divergence at order 7 beyond the bound
+        # inflate the divergence at order 7 beyond the bound
         q, sigma = 0.01, 4.0
-        real = renyi._log_renyi_powers
+        real = renyi._log_moments
 
-        def inflated(q_, sigma_, alphas, reverse):
-            out = real(q_, sigma_, alphas, reverse)
-            if not reverse:
-                out = np.where(alphas == 7.0, 6.0 * 2.0 * q * q * 7.0 / (sigma * sigma), out)
-            return out
+        def inflated(q_, sigma_, alphas):
+            return np.where(alphas == 7, 6.0 * 2.0 * q * q * 7.0 / (sigma * sigma), real(q_, sigma_, alphas))
 
-        monkeypatch.setattr(renyi, "_log_renyi_powers", inflated)
+        monkeypatch.setattr(renyi, "_log_moments", inflated)
         report = renyi.validate_moment_bound([sigma], q_step=1.0, q_start=q, alpha_cap=20)
         assert report.n_points == 19  # orders 2..20
         assert report.worst_slack == pytest.approx(-q * q * 7.0 / (sigma * sigma), rel=1e-12)
