@@ -10,7 +10,8 @@ Costs are tracked as zCDP parameters ``rho`` and converted to classical
   ``q^2/sigma^2`` together with a cap ``u_alpha`` on the usable Renyi order,
   converted to ``(eps, delta)`` with a two-branch bound.
 
-All logarithms are natural.
+A :class:`PrivacyLedger` prices, checks and records every release in one place,
+and its budget check reads the very totals it records.  Logarithms are natural.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ class LedgerStep(NamedTuple):
     cost: float
 
 
-def _check_delta(delta: float) -> None:
-    if not (0.0 < delta < 1.0):
+def _check_delta(delta: Optional[float]) -> None:
+    if delta is None or not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
 
 
@@ -173,8 +174,8 @@ class PrivacyLedger:
 
     In "rf" mode the ledger accumulates ``rho_sum`` per epoch; in "rs" mode it
     accumulates ``rho_hat`` per iteration together with the smallest usable
-    order cap seen so far.  ``steps`` holds enough to replay the ledger, and
-    :meth:`replay` must reproduce the running totals bit for bit.
+    order cap seen so far.  All entry points share one pricing and one
+    recording helper, so :meth:`replay` reproduces the totals bit for bit.
     """
 
     mode: str
@@ -187,6 +188,33 @@ class PrivacyLedger:
         if self.mode not in ("rf", "rs"):
             raise UsageError(f"ledger mode must be 'rf' or 'rs', got {self.mode!r}")
 
+    def _price(self, sigma: float, q: Optional[float], epoch: Optional[int], iteration: Optional[int]) -> LedgerStep:
+        """Validate one release and return its step, cost included."""
+        if self.mode == "rf":
+            return LedgerStep(epoch, None, None, sigma, gaussian_rho(sigma))
+        check_rs_ratio(q, sigma)
+        return LedgerStep(epoch, iteration, q, sigma, q * q / (sigma * sigma))
+
+    def _record(
+        self, step: LedgerStep, releases: int = 1, budget: Optional[float] = None, delta: Optional[float] = None
+    ) -> bool:
+        """Add ``releases`` copies of ``step`` to the totals one at a time and to
+        ``steps``, unless the spend they report exceeds a given ``budget``."""
+        total = self.total_rho
+        for _ in range(releases):
+            total += step.cost
+        if self.mode == "rf":
+            if budget is not None and total > budget + BUDGET_TOL:
+                return False
+            self.rho_sum = total
+        else:
+            u_alpha = min(self.u_alpha_min, rs_order_cap(step.q, step.sigma))
+            if budget is not None and rs_eps(total, u_alpha, delta) > budget:
+                return False
+            self.rho_hat, self.u_alpha_min = total, u_alpha
+        self.steps += [step] * releases
+        return True
+
     def charge_rf_epoch(self, sigma: float, epoch: Optional[int] = None) -> "PrivacyLedger":
         """Charge one epoch of reshuffled training at noise scale ``sigma``.
 
@@ -195,9 +223,7 @@ class PrivacyLedger:
         """
         if self.mode != "rf":
             raise UsageError("charge_rf_epoch requires an rf-mode ledger")
-        cost = gaussian_rho(sigma)
-        self.rho_sum += cost
-        self.steps.append(LedgerStep(epoch, None, None, sigma, cost))
+        self._record(self._price(sigma, None, epoch, None))
         return self
 
     def charge_rs_iteration(
@@ -211,18 +237,14 @@ class PrivacyLedger:
         the order cap to ``min(u_alpha_min, sigma^2 log(1/(q sigma)) + 1)``."""
         if self.mode != "rs":
             raise UsageError("charge_rs_iteration requires an rs-mode ledger")
-        check_rs_ratio(q, sigma)
-        cost = q * q / (sigma * sigma)
-        self.rho_hat += cost
-        self.u_alpha_min = min(self.u_alpha_min, rs_order_cap(q, sigma))
-        self.steps.append(LedgerStep(epoch, iteration, q, sigma, cost))
+        self._record(self._price(sigma, q, epoch, iteration))
         return self
 
     def admit(
         self,
         sigma: float,
         budget: float,
-        delta: float,
+        delta: Optional[float] = None,
         q: Optional[float] = None,
         releases: int = 1,
         epoch: Optional[int] = None,
@@ -232,47 +254,30 @@ class PrivacyLedger:
         spend after them fits ``budget``; otherwise change nothing.
 
         In rf mode each release is one epoch and ``budget`` is a zCDP total
-        (compared with tolerance :data:`BUDGET_TOL`); in rs mode each release
-        is one iteration at sampling ratio ``q`` and ``budget`` is an eps total
-        at ``delta``.  Every release is recorded as its own step, so
-        :meth:`replay` stays exact.  Returns whether the charge was made.
+        (compared with tolerance :data:`BUDGET_TOL`; ``delta`` is unused); in
+        rs mode each release is one iteration at sampling ratio ``q`` and
+        ``budget`` is an eps total at ``delta``.  The totals checked are the
+        totals recorded.  Returns whether the charge was made.
         """
         if releases < 1:
             raise DomainError(f"releases must be at least 1, got {releases}")
-        if self.mode == "rf":
-            cost = gaussian_rho(sigma)
-            if self.rho_sum + releases * cost > budget + BUDGET_TOL:
-                return False
-            for _ in range(releases):
-                self.charge_rf_epoch(sigma, epoch=epoch)
-            return True
-        check_rs_ratio(q, sigma)
-        cost = q * q / (sigma * sigma)
-        u_alpha = min(self.u_alpha_min, rs_order_cap(q, sigma))
-        if rs_eps(self.rho_hat + releases * cost, u_alpha, delta) > budget:
-            return False
-        for _ in range(releases):
-            self.charge_rs_iteration(q, sigma, epoch=epoch, iteration=iteration)
-        return True
+        if not budget >= 0.0:
+            raise DomainError(f"budget must be nonnegative, got {budget}")
+        return self._record(self._price(sigma, q, epoch, iteration), releases, budget, delta)
 
     @property
     def total_rho(self) -> float:
         return self.rho_sum if self.mode == "rf" else self.rho_hat
 
     def to_dp(self, delta: float) -> EpsDelta:
-        """Convert the cumulative cost to an (eps, delta) guarantee."""
-        if self.mode == "rf":
-            return zcdp_to_dp(self.rho_sum, delta)
-        if not self.steps:
-            raise UsageError("cannot convert an empty rs ledger")
+        """Convert the cumulative cost to an (eps, delta) guarantee; eps is 0 if empty."""
+        if self.mode == "rf" or not self.steps:
+            return zcdp_to_dp(self.total_rho, delta)
         return EpsDelta(rs_eps(self.rho_hat, self.u_alpha_min, delta), delta)
 
     def replay(self) -> "PrivacyLedger":
         """Rebuild a fresh ledger from the recorded steps."""
         fresh = PrivacyLedger(self.mode)
         for step in self.steps:
-            if self.mode == "rf":
-                fresh.charge_rf_epoch(step.sigma, epoch=step.epoch)
-            else:
-                fresh.charge_rs_iteration(step.q, step.sigma, epoch=step.epoch, iteration=step.iteration)
+            fresh._record(fresh._price(step.sigma, step.q, step.epoch, step.iteration))
         return fresh

@@ -16,8 +16,10 @@ Exit codes: 0 success (for ``train``: budget exhausted), 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -52,26 +54,26 @@ def _manifest_lines(args: argparse.Namespace, seed: Optional[int]) -> List[str]:
     return lines
 
 
+def _write_text(path: str, text: str, encoding: str) -> None:
+    """Write ``text`` to ``path``, overwriting a regular file in place and then
+    cutting it to length: on ext4 a truncate to zero before a rewrite forces a
+    writeback on close (``auto_da_alloc``), so each rewrite would wait on the disk."""
+    with open(path, "w", encoding=encoding, opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        fh.write(text)
+        if os.path.isfile(path):
+            fh.truncate()
+
+
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]], manifest: List[str]) -> None:
     def fmt(v: object) -> str:
-        if v is None:
-            return ""
-        if isinstance(v, float):
-            return f"{v:.6f}"
-        return str(v)
+        return "" if v is None else f"{v:.6f}" if isinstance(v, float) else str(v)
 
-    with open(path, "w", encoding="ascii") as fh:
-        for line in manifest:
-            fh.write(line + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+    lines = [*manifest, ",".join(header), *(",".join(fmt(v) for v in row) for row in rows)]
+    _write_text(path, "".join(line + "\n" for line in lines), "ascii")
 
 
 def _cmd_account(args: argparse.Namespace) -> int:
-    delta = args.delta
-    sigma = args.sigma
-    q = args.q
+    delta, sigma, q = args.delta, args.sigma, args.q
     u_alpha = accounting.rs_order_cap(q, sigma)  # rejects a bad q or sigma first
     iters = args.iters_per_epoch if args.iters_per_epoch else max(1, round(1.0 / q))
 
@@ -222,8 +224,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "final_train_acc": report.records[-1].train_acc if report.records else None,
         "final_test_acc": report.records[-1].test_acc if report.records else None,
     }
-    with open(args.out + ".json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+    _write_text(args.out + ".json", json.dumps(summary, indent=2), "utf-8")
     if args.checkpoint:
         nn.save_checkpoint(model, args.checkpoint)
     print(
@@ -272,8 +273,7 @@ def _cmd_validate_bound(args: argparse.Namespace) -> int:
         ],
         "worst_slack": report.worst_slack if report.n_points else None,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+    _write_text(args.out, json.dumps(payload, indent=2), "utf-8")
     print(f"{report.n_points} points checked, {len(report.violations)} violations")
     return EXIT_OK
 
@@ -305,12 +305,12 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         "portion_sizes": result.portion_sizes,
         "selection_rho": rho,
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+    _write_text(args.out, json.dumps(payload, indent=2), "utf-8")
     print(f"selected candidate {result.selected} with z={result.scores[result.selected].z}")
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dpbudget", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -360,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (DomainError, UsageError, ConfigError, ParseError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:

@@ -226,7 +226,6 @@ def train(
     stop_reason = "max_epochs"
 
     def snapshot(epoch: int, sigma: float) -> None:
-        eps = ledger.to_dp(config.delta).eps if ledger.steps else 0.0
         records.append(
             EpochRecord(
                 epoch=epoch,
@@ -235,7 +234,7 @@ def train(
                 test_acc=nn.accuracy(model, test_data.features, test_data.labels) if test_data is not None else None,
                 val_acc=nn.accuracy(model, validation_data.features, validation_data.labels) if validation_data is not None else None,
                 cum_rho=ledger.total_rho,
-                cum_eps=eps,
+                cum_eps=ledger.to_dp(config.delta).eps,
             )
         )
 
@@ -276,7 +275,7 @@ def train(
         epochs_run=len(records),
         records=records,
         stop_reason=stop_reason,
-        final_privacy=ledger.to_dp(config.delta) if ledger.steps else EpsDelta(0.0, config.delta),
+        final_privacy=ledger.to_dp(config.delta),
         total_rho=ledger.total_rho,
         ledger=ledger,
     )

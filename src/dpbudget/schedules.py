@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 from typing import List, Optional
 
 from .errors import ConfigError, InfeasibleTargetError, UsageError, check_config_fields, config_from_json
-from .accounting import BUDGET_TOL, gaussian_rho
+from .accounting import PrivacyLedger
 
 DECAY_KINDS = ("time", "exp", "step", "poly")
 KINDS = ("uniform",) + DECAY_KINDS + ("validation",)
@@ -159,21 +159,17 @@ class ValidationController:
 def epochs_until_exhaustion(schedule: NoiseSchedule, rho_total: float, max_epochs: int = 1_000_000) -> int:
     """Largest E such that the first E epochs fit within ``rho_total``.
 
-    Charges accrue before each epoch (epoch t costs ``1/(2 sigma_t^2)``), so
-    the returned count is exactly the number of epochs a budget-checked
-    training run will execute.
+    Epoch t is admitted to an rf :class:`PrivacyLedger` at ``sigma_t`` until
+    one is refused, by the rule that stops training, so the count is exactly
+    the number of epochs a budget-checked run with whole-model clipping executes.
     """
     if schedule.kind == "validation":
         raise UsageError("exhaustion horizon is undefined for data-dependent schedules")
-    if rho_total < 0.0:
-        raise ConfigError(f"rho_total must be nonnegative, got {rho_total}")
-    total = 0.0
+    if not 0.0 <= rho_total < math.inf:
+        raise ConfigError(f"rho_total must be finite and nonnegative, got {rho_total}")
+    ledger = PrivacyLedger("rf")
     epoch = 0
-    while epoch < max_epochs:
-        cost = gaussian_rho(sigma_at(schedule, epoch))
-        if total + cost > rho_total + BUDGET_TOL:
-            return epoch
-        total += cost
+    while epoch < max_epochs and ledger.admit(sigma_at(schedule, epoch), rho_total):
         epoch += 1
     return epoch
 
@@ -199,8 +195,6 @@ def solve_decay_rate(
         raise ConfigError(f"kind must be one of {DECAY_KINDS}, got {kind!r}")
     if target_epochs < 1:
         raise ConfigError(f"target_epochs must be at least 1, got {target_epochs}")
-    if not 0.0 <= rho_total < math.inf:
-        raise ConfigError(f"rho_total must be finite and nonnegative, got {rho_total}")
     if not 0.0 < grid < math.inf:
         raise ConfigError(f"grid must be positive and finite, got {grid}")
 

@@ -1,9 +1,10 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dpbudget import accounting
-from dpbudget.accounting import EpsDelta, PrivacyLedger
+from dpbudget.accounting import BUDGET_TOL, EpsDelta, PrivacyLedger
 from dpbudget.errors import DomainError, PreconditionError, UsageError
 
 
@@ -163,9 +164,9 @@ class TestRsLedger:
         with pytest.raises(PreconditionError):
             PrivacyLedger("rs").charge_rs_iteration(0.02, 6.0)  # 0.02 > 1/96
 
-    def test_empty_conversion_rejected(self):
-        with pytest.raises(UsageError):
-            PrivacyLedger("rs").to_dp(1e-5)
+    @pytest.mark.parametrize("mode", ["rf", "rs"])
+    def test_empty_ledger_reports_zero_eps(self, mode):
+        assert PrivacyLedger(mode).to_dp(1e-5) == EpsDelta(0.0, 1e-5)
 
     def test_heterogeneous_order_cap_is_min(self):
         ledger = PrivacyLedger("rs")
@@ -239,6 +240,73 @@ class TestAdmit:
             PrivacyLedger("rs").admit(6.0, 10.0, 1e-5, q=0.02)  # 0.02 > 1/96
         with pytest.raises(DomainError):
             PrivacyLedger("rf").admit(6.0, 1.0, 1e-5, releases=0)
+        with pytest.raises(DomainError):
+            PrivacyLedger("rs").admit(6.0, 1.0, q=0.01)  # rs needs a delta
+        for mode, q in (("rf", None), ("rs", 0.01)):
+            for budget in (float("nan"), -1.0):
+                with pytest.raises(DomainError):
+                    PrivacyLedger(mode).admit(6.0, budget, 1e-5, q=q)
+
+    def test_rf_needs_no_delta(self):
+        ledger = PrivacyLedger("rf")
+        assert ledger.admit(6.0, 1.0, releases=2, epoch=0)
+        assert ledger.rho_sum == 2 * accounting.gaussian_rho(6.0)
+
+
+DELTA = 1e-5
+
+
+@st.composite
+def _admission_runs(draw):
+    """(mode, admissions, budget).  Each admission is (sigma, q, releases),
+    with q None in rf mode.  Half the budgets are free; the others sit within
+    a few ulps of the spend after some prefix of the admissions, where a check
+    that adds up differently from the charge lets the spend overrun."""
+    mode = draw(st.sampled_from(["rf", "rs"]))
+    run = []
+    for _ in range(draw(st.integers(1, 12))):
+        sigma = draw(st.floats(1.0, 20.0))
+        q = draw(st.floats(1e-4, 1.0 / (16.0 * sigma))) if mode == "rs" else None
+        run.append((sigma, q, draw(st.integers(1, 4))))
+    if draw(st.booleans()):
+        return mode, run, draw(st.floats(0.0, 50.0))
+    prefix = PrivacyLedger(mode)
+    for sigma, q, releases in run[: draw(st.integers(1, len(run)))]:
+        for _ in range(releases):
+            if mode == "rf":
+                prefix.charge_rf_epoch(sigma)
+            else:
+                prefix.charge_rs_iteration(q, sigma)
+    budget = prefix.rho_sum - BUDGET_TOL if mode == "rf" else prefix.to_dp(DELTA).eps
+    ulps = draw(st.integers(-3, 3))
+    for _ in range(abs(ulps)):
+        budget = math.nextafter(budget, math.copysign(math.inf, ulps))
+    return mode, run, budget
+
+
+def _state(ledger):
+    return ledger.rho_sum, ledger.rho_hat, ledger.u_alpha_min, list(ledger.steps)
+
+
+class TestLedgerInvariants:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_admission_runs())
+    @example(case=("rs", [(4.0, 0.01, 1)] * 40 + [(4.0, 0.01, 2)], 0.23732499066341411))
+    @example(case=("rf", [(3.0, None, 1)] * 3 + [(3.0, None, 3)], 0.33333333333233334))
+    def test_spend_fits_refusal_changes_nothing_replay_exact(self, case):
+        mode, run, budget = case
+        ledger = PrivacyLedger(mode)
+        for epoch, (sigma, q, releases) in enumerate(run):
+            before = _state(ledger)
+            if ledger.admit(sigma, budget, DELTA, q=q, releases=releases, epoch=epoch):
+                assert len(ledger.steps) == len(before[3]) + releases
+                if mode == "rf":
+                    assert ledger.rho_sum <= budget + BUDGET_TOL
+                else:
+                    assert ledger.to_dp(DELTA).eps <= budget
+            else:
+                assert _state(ledger) == before
+            assert _state(ledger.replay()) == _state(ledger)
 
 
 class TestAccountantShapes:

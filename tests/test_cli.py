@@ -105,6 +105,13 @@ class TestValidateBoundCommand:
         assert payload["points_checked"] == 0
         assert payload["violations"] == []
 
+    def test_overwrites_longer_file_and_device(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("x" * 100_000)
+        assert run(["validate-bound", "--point", "0.01", "4.0", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["points_checked"] > 0  # no stale tail
+        assert run(["validate-bound", "--point", "0.01", "4.0", "--out", os.devnull]) == 0
+
     def test_smoke_grid(self, tmp_path):
         out = tmp_path / "smoke.json"
         assert run(["validate-bound", "--smoke", "--out", str(out)]) == 0

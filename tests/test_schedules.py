@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dpbudget import accounting
+from dpbudget import data, nn
+from dpbudget.dpsgd import TrainConfig, train
 from dpbudget.errors import ConfigError, InfeasibleTargetError, UsageError
 from dpbudget.schedules import (
     NoiseSchedule,
@@ -20,6 +21,7 @@ from dpbudget.schedules import (
 )
 
 BUDGET = 0.78125
+TINY = data.synth_blobs(8, 2, 2, seed=0)
 
 
 class TestSigmaAt:
@@ -187,14 +189,18 @@ class TestExhaustion:
     )
     @example(kind="step", sigma0=10.0, k=0.6, period=10, rho_total=BUDGET)
     def test_ledger_consistency(self, kind, sigma0, k, period, rho_total):
-        # the solver's closed-loop horizon is the number of epochs the
-        # trainer's admission path accepts
+        # the horizon is the number of epochs a budget-checked training run
+        # with whole-model clipping executes before the ledger refuses one
         sched = exp_decay(sigma0, k) if kind == "exp" else step_decay(sigma0, k, period)
-        ledger = accounting.PrivacyLedger("rf")
-        epoch = 0
-        while ledger.admit(sigma_at(sched, epoch), rho_total, 1e-5, epoch=epoch):
-            epoch += 1
-        assert epoch == epochs_until_exhaustion(sched, rho_total)
+        horizon = epochs_until_exhaustion(sched, rho_total)
+        config = TrainConfig(schedule=sched, clip_norm=1.0, max_epochs=horizon + 1, seed=0, rho_total=rho_total)
+        report = train(config, TINY, nn.MlpModel.init([2, 3, 2], seed=0))
+        assert (report.epochs_run, report.stop_reason) == (horizon, "budget_exhausted")
+
+    def test_rejects_nan_and_inf_budget(self):
+        for rho_total in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                epochs_until_exhaustion(uniform(8.0), rho_total)
 
     def test_validation_kind_rejected(self):
         with pytest.raises(UsageError):
