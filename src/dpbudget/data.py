@@ -129,7 +129,7 @@ def rs_batch(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
     """Independently include each index with probability q."""
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must lie in (0, 1), got {q}")
-    return np.flatnonzero(rng.random(n) < q)
+    return (rng.random(n) < q).nonzero()[0]
 
 
 def synth_blobs(

@@ -49,36 +49,46 @@ def clip_rows(per_example: np.ndarray, clip_norm: float) -> np.ndarray:
 
 
 def _noisy_clipped_sum(
-    inputs: List[np.ndarray],
-    signals: List[np.ndarray],
+    inputs: Optional[np.ndarray],
+    signals: Optional[np.ndarray],
+    model: nn.MlpModel,
     clip_norm: float,
     sigma: float,
     per_layer: bool,
-    n_params: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """N(0, (sigma C)^2 I) plus the sum over the batch of the clipped
-    per-example gradients of dense layers with inputs a and backprop signals
-    d, as one vector of the layers' (weights, bias) pieces in order.
+    per-example gradients of ``model``'s layers, as one vector in
+    ``model.params`` order.
 
-    Ghost clipping: |g_l|^2 = (|a|^2 + 1) |d|^2 and the clipped sum is
-    a.T @ (d s), so no per-example gradient is formed.  With no layers (an
-    empty batch) the noise is released alone.
+    ``inputs`` and ``signals`` hold the layers' augmented inputs ã = [a, 1]
+    and backprop signals d, as :func:`nn.backprop_signals` returns them.
+    Ghost clipping: the gradient of block [W; b] is outer(ã, d), so |g_l|^2
+    = |ã|^2 |d|^2, whose factors are segment sums of squares, and the
+    clipped sum is ã.T @ (d s); no per-example gradient is formed.  With no
+    inputs (an empty batch) the noise is released alone.
     """
-    total = _gaussian_noise(rng, sigma, clip_norm, n_params)
-    if not inputs:
-        return total
-    sq_norms = np.array(
-        [(np.einsum("ij,ij->i", a, a) + 1.0) * np.einsum("ij,ij->i", d, d) for a, d in zip(inputs, signals)]
-    )
+    noise = _gaussian_noise(rng, sigma, clip_norm, model.n_params)
+    if inputs is None:
+        return noise
+    inputs_t, signals_t = inputs.T, signals.T
+    # One scratch array holds ã^2, then d^2, then d s, so that a large batch
+    # does not grow and shrink the heap on every step.
+    scratch = np.empty((max(len(inputs_t), len(signals_t)), len(inputs)))
+    sq_norms = np.dot(model.input_layers, np.multiply(inputs_t, inputs_t, out=scratch[: len(inputs_t)]))
+    scaled_t = np.multiply(signals_t, signals_t, out=scratch[: len(signals_t)])
+    sq_norms *= np.dot(model.signal_layers, scaled_t)
     if per_layer:
-        factors = _clip_factors(sq_norms, clip_norm)
+        np.dot(model.signal_layers.T, _clip_factors(sq_norms, clip_norm), out=scaled_t)
+        scaled_t *= signals_t
     else:
-        factors = [_clip_factors(sq_norms.sum(axis=0), clip_norm)] * len(sq_norms)
-    clipped = []
-    for a, d, s in zip(inputs, signals, factors):
-        clipped += [(a.T @ (d * s[:, None])).ravel(), s @ d]
-    total += np.concatenate(clipped)
+        np.multiply(signals_t, _clip_factors(sq_norms.sum(axis=0), clip_norm), out=scaled_t)
+    total = np.empty_like(noise)
+    offset = a_lo = d_lo = 0
+    for w, o in (block.shape for block in model.blocks):
+        np.dot(inputs_t[a_lo : a_lo + w], scaled_t[d_lo : d_lo + o].T, out=total[offset : offset + w * o].reshape(w, o))
+        offset, a_lo, d_lo = offset + w * o, a_lo + w, d_lo + o
+    total += noise
     return total
 
 
@@ -91,15 +101,17 @@ def noisy_mean_gradient(
 ) -> np.ndarray:
     """(sum of clipped per-example gradients + N(0, (sigma C)^2 I)) / B.
 
-    The rows are taken as the bias gradients of one layer with no inputs,
-    whose ghost norm is the row norm: the training primitive's one-layer case.
+    The rows are taken as the bias gradients of a one-layer model with no
+    inputs, whose augmented inputs are ones and whose ghost norm is the row
+    norm: the training primitive's one-layer case.
     """
     if per_example.ndim != 2 or len(per_example) == 0:
         raise DomainError("per_example must be a nonempty (n, params) matrix")
     if batch_size < 1:
         raise DomainError(f"batch_size must be positive, got {batch_size}")
     n, p = per_example.shape
-    return _noisy_clipped_sum([np.empty((n, 0))], [per_example], clip_norm, sigma, False, p, rng) / batch_size
+    bias_only = nn.MlpModel([np.empty((0, p))], [np.empty(p)])
+    return _noisy_clipped_sum(np.ones((n, 1)), per_example, bias_only, clip_norm, sigma, False, rng) / batch_size
 
 
 def noisy_clipped_sum(
@@ -117,8 +129,8 @@ def noisy_clipped_sum(
     Each example's gradient is clipped to norm C as a whole, or layer by
     layer when ``per_layer``.  An empty batch releases the noise alone.
     """
-    inputs, signals = nn.backprop_signals(model, x, labels) if len(x) else ([], [])
-    return _noisy_clipped_sum(inputs, signals, clip_norm, sigma, per_layer, model.n_params, rng)
+    inputs, signals = nn.backprop_signals(model, x, labels) if len(x) else (None, None)
+    return _noisy_clipped_sum(inputs, signals, model, clip_norm, sigma, per_layer, rng)
 
 
 @dataclass(frozen=True)

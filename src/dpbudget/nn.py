@@ -3,9 +3,12 @@
 Deliberately minimal: dense layers with ReLU between them, logits out,
 softmax cross-entropy loss, float64 everywhere.  All parameters live in one
 flat vector, in checkpoint order (W0, b0, W1, b1, ...), so an update is one
-vector operation.  Batched backpropagation yields each layer's inputs and
-backprop signals for every example (no loops over examples), which is what
-the gradient-clipping step of DP-SGD needs.
+vector operation.  Layer l's W_l followed by b_l is the row-major
+(fan_in+1, fan_out) block [W_l; b_l], and every pass runs on those blocks:
+a layer is one product of its ones-augmented inputs [a, 1] with its block.
+Batched backpropagation yields each layer's augmented inputs and backprop
+signals for every example (no loops over examples), which is what the
+gradient-clipping step of DP-SGD needs.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ class MlpModel:
     """Dense ReLU network; the final layer emits raw logits.
 
     ``params`` holds every parameter in checkpoint order (W0, b0, W1, b1,
-    ...); ``weights[i]`` and ``biases[i]`` are views into it.  The
-    constructor copies its arguments.
+    ...).  ``blocks[i]`` is the (fan_in+1, fan_out) view [W_i; b_i] of it,
+    and ``weights[i]`` and ``biases[i]`` are that block's rows.  A layer
+    may have no inputs (fan_in 0), and then only a bias.  The constructor
+    copies its arguments.
     """
 
     def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
@@ -38,14 +43,20 @@ class MlpModel:
             if i > 0 and weights[i - 1].shape[1] != w.shape[0]:
                 raise DomainError(f"layer {i} does not chain with layer {i - 1}")
         self.params = np.concatenate([np.ravel(p) for w, b in zip(weights, biases) for p in (w, b)], dtype=np.float64)
-        self.weights: List[np.ndarray] = []
-        self.biases: List[np.ndarray] = []
+        self.blocks: List[np.ndarray] = []
         offset = 0
-        for w in weights:
-            end = offset + w.size
-            self.weights.append(self.params[offset:end].reshape(w.shape))
-            self.biases.append(self.params[end:end + w.shape[1]])
-            offset = end + w.shape[1]
+        for fan_in, fan_out in (w.shape for w in weights):
+            end = offset + (fan_in + 1) * fan_out
+            self.blocks.append(self.params[offset:end].reshape(fan_in + 1, fan_out))
+            offset = end
+        self.weights: List[np.ndarray] = [block[:-1] for block in self.blocks]
+        self.biases: List[np.ndarray] = [block[-1] for block in self.blocks]
+        # 0/1 matrices whose row l marks layer l's columns of the inputs and
+        # signals that backprop_signals returns: one product with them sums a
+        # batch's per-column values layer by layer.
+        eye = np.eye(len(self.blocks))
+        self.input_layers = np.repeat(eye, [len(block) for block in self.blocks], axis=1)
+        self.signal_layers = np.repeat(eye, [block.shape[1] for block in self.blocks], axis=1)
 
     @classmethod
     def init(cls, layer_sizes: Sequence[int], seed: int) -> "MlpModel":
@@ -72,17 +83,32 @@ class MlpModel:
         return MlpModel(self.weights, self.biases)
 
 
-def _forward_trace(model: MlpModel, x: np.ndarray) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Pre-activations and activations for a batch; ReLU'(0) is taken as 0."""
-    h = x
-    pre, act = [], [x]
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
-        pre.append(z)
-        h = np.maximum(z, 0.0) if i < last else z
-        act.append(h)
-    return pre, act
+def _forward(model: MlpModel, x: np.ndarray, inputs_t: np.ndarray) -> np.ndarray:
+    """Forward pass with the examples as columns; returns the (n_classes, n)
+    logits.
+
+    ``inputs_t`` receives, stacked in layer order, each layer's transposed
+    augmented inputs [a_l, 1]: it has ``model.input_layers.shape[1]`` (the
+    sum of fan_in+1) rows and one column per example.  Layer l's outputs are
+    ``blocks[l].T`` times its rows.
+    """
+    inputs_t[: x.shape[1]] = x.T
+    lo = 0
+    for block in model.blocks[:-1]:
+        hi = lo + len(block)
+        inputs_t[hi - 1] = 1.0
+        z = np.dot(block.T, inputs_t[lo:hi], out=inputs_t[hi : hi + block.shape[1]])
+        np.maximum(z, 0.0, out=z)
+        lo = hi
+    inputs_t[-1] = 1.0
+    return np.dot(model.blocks[-1].T, inputs_t[lo:])
+
+
+def _check_batch(model: MlpModel, x: np.ndarray) -> None:
+    if x.shape[1] != model.weights[0].shape[0]:
+        raise DomainError(
+            f"input dimension {x.shape[1]} does not match model fan-in {model.weights[0].shape[0]}"
+        )
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -91,11 +117,8 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.shape[1] != model.weights[0].shape[0]:
-        raise DomainError(
-            f"input dimension {x.shape[1]} does not match model fan-in {model.weights[0].shape[0]}"
-        )
-    logits = _forward_trace(model, x)[1][-1]
+    _check_batch(model, x)
+    logits = _forward(model, x, np.empty((model.input_layers.shape[1], len(x)))).T
     return logits[0] if single else logits
 
 
@@ -122,32 +145,41 @@ def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(predict(model, x) == labels))
 
 
-def backprop_signals(
-    model: MlpModel, x: np.ndarray, labels: np.ndarray
-) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Each layer's inputs and backprop signals for a batch.
+def backprop_signals(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every layer's augmented inputs and backprop signals for a batch.
 
-    Returns ``(inputs, signals)``, one (n, fan_in) and one (n, fan_out)
-    array per layer: example i's loss gradient is ``outer(inputs[l][i],
-    signals[l][i])`` for W_l and ``signals[l][i]`` for b_l, so its squared
-    norm is ``(|inputs[l][i]|^2 + 1) |signals[l][i]|^2``.
+    Returns ``(inputs, signals)``, an (n, sum of fan_in+1) and an (n, sum
+    of fan_out) array.  Their column segments hold, in layer order, layer
+    l's augmented inputs ``[a_l, 1]`` and its signals ``d_l``: example i's
+    loss gradient for the block [W_l; b_l] is ``outer(inputs_l[i],
+    signals_l[i])``, so its squared norm is ``|inputs_l[i]|^2
+    |signals_l[i]|^2``.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.atleast_1d(labels)
     if len(x) == 0:
         raise DomainError("backprop signals require a nonempty batch")
-    if x.shape[1] != model.weights[0].shape[0]:
-        raise DomainError(
-            f"input dimension {x.shape[1]} does not match model fan-in {model.weights[0].shape[0]}"
-        )
-    pre, act = _forward_trace(model, x)
-    delta = softmax(act[-1])
-    delta[np.arange(len(x)), labels] -= 1.0
-    signals = [delta]
-    for layer in range(len(model.weights) - 1, 0, -1):
-        delta = (delta @ model.weights[layer].T) * (pre[layer - 1] > 0.0)
-        signals.append(delta)
-    return act[:-1], signals[::-1]
+    _check_batch(model, x)
+    # One array holds both results, so a large batch makes one allocation.
+    n_inputs = model.input_layers.shape[1]
+    stacked = np.empty((n_inputs + model.signal_layers.shape[1], len(x)))
+    inputs_t, signals_t = stacked[:n_inputs], stacked[n_inputs:]
+    logits_t = _forward(model, x, inputs_t)
+    lo = len(signals_t) - len(logits_t)
+    delta = signals_t[lo:]
+    delta[...] = softmax(logits_t.T).T
+    delta[labels, np.arange(len(x))] -= 1.0
+    # ReLU'(z) as 0.0 or 1.0, taken as 0 at z = 0: the sign of the ReLU outputs
+    active = np.sign(inputs_t)
+    top = len(inputs_t)
+    for block in model.blocks[:0:-1]:
+        top -= len(block)
+        fan_in = len(block) - 1
+        below = signals_t[lo - fan_in : lo]
+        np.dot(block[:-1], delta, out=below)
+        below *= active[top : top + fan_in]
+        delta, lo = below, lo - fan_in
+    return inputs_t.T, signals_t.T
 
 
 def per_example_gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> List[np.ndarray]:
@@ -157,9 +189,13 @@ def per_example_gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) ->
     with a leading batch axis.  Training never builds these; they are the
     outer-product reference for :func:`backprop_signals`.
     """
+    inputs, signals = backprop_signals(model, x, labels)
     grads: List[np.ndarray] = []
-    for a, delta in zip(*backprop_signals(model, x, labels)):
-        grads += [a[:, :, None] * delta[:, None, :], delta]
+    a_lo = d_lo = 0
+    for n_in, n_out in (block.shape for block in model.blocks):
+        block_grads = inputs[:, a_lo : a_lo + n_in, None] * signals[:, None, d_lo : d_lo + n_out]
+        grads += [block_grads[:, :-1], block_grads[:, -1]]
+        a_lo, d_lo = a_lo + n_in, d_lo + n_out
     return grads
 
 

@@ -170,6 +170,7 @@ def epochs_until_exhaustion(schedule: NoiseSchedule, rho_total: float, max_epoch
     ledger = PrivacyLedger("rf")
     epoch = 0
     while epoch < max_epochs and ledger.admit(sigma_at(schedule, epoch), rho_total):
+        ledger.steps.clear()  # an rf admission reads only the running total
         epoch += 1
     return epoch
 

@@ -138,7 +138,8 @@ class TestGhostClipping:
     @settings(max_examples=80, deadline=None)
     @given(
         sizes=st.lists(st.integers(1, 6), min_size=2, max_size=5),
-        batch=st.integers(1, 64),
+        # 140 and 560 are the rf batch sizes of the benchmark's training runs
+        batch=st.one_of(st.integers(1, 64), st.sampled_from([140, 560])),
         n_saturated=st.integers(0, 3),
         clip_at=st.sampled_from(["below", "between", "above"]),
         per_layer=st.booleans(),
@@ -540,12 +541,18 @@ def per_example_update(model, batch, indices, sigma, lr, config, rng, lot_size):
 class TestMatchesPerExampleUpdate:
     @pytest.mark.parametrize("per_layer_clip", [False, True])
     @pytest.mark.parametrize(
-        "batching",
-        [{"batch_size": None}, {"batch_size": 7}, {"batching": "rs", "q": 0.05, "iters_per_epoch": 20}],
-        ids=["rf-full", "rf-7", "rs"],
+        "n_examples,batching",
+        [
+            (120, {"batch_size": None}),
+            (120, {"batch_size": 7}),
+            (120, {"batching": "rs", "q": 0.05, "iters_per_epoch": 20}),
+            # at q n = 1, about a third of the sampled batches are empty
+            (20, {"batching": "rs", "q": 0.05, "iters_per_epoch": 20}),
+        ],
+        ids=["rf-full", "rf-7", "rs", "rs-empty-batches"],
     )
-    def test_same_stream_same_parameters(self, monkeypatch, batching, per_layer_clip):
-        ds = small_blobs()
+    def test_same_stream_same_parameters(self, monkeypatch, n_examples, batching, per_layer_clip):
+        ds = data.synth_blobs(n_examples, 2, 2, seed=5, separation=4.0)
         budget = {"eps_total": 50.0} if "q" in batching else {"rho_total": 50.0}
         config = TrainConfig(
             schedule=schedules.exp_decay(1.0, 0.1), clip_norm=0.5, max_epochs=4, seed=21, lr=0.2,
@@ -556,15 +563,23 @@ class TestMatchesPerExampleUpdate:
             model = nn.MlpModel.init([2, 8, 6, 2], seed=21)
             return model, train(config, ds, model)
 
+        batch_sizes = []
+
+        def reference_update(model, batch, indices, *args):
+            batch_sizes.append(len(indices))
+            per_example_update(model, batch, indices, *args)
+
         ghost, ghost_report = run()
         with monkeypatch.context() as patch:
-            patch.setattr(dpsgd, "_noisy_update", per_example_update)
+            patch.setattr(dpsgd, "_noisy_update", reference_update)
             reference, reference_report = run()
         assert np.linalg.norm(ghost.params - reference.params) <= 1e-10 * np.linalg.norm(reference.params)
         assert ghost_report.epochs_run == reference_report.epochs_run == 4
         assert ghost_report.ledger.steps == reference_report.ledger.steps
         assert ghost_report.total_rho == reference_report.total_rho
         assert ghost_report.final_privacy == reference_report.final_privacy
+        if n_examples == 20:
+            assert 15 <= batch_sizes.count(0) <= 45
 
 
 class TestConfigValidation:

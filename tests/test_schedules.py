@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -196,6 +197,17 @@ class TestExhaustion:
         config = TrainConfig(schedule=sched, clip_norm=1.0, max_epochs=horizon + 1, seed=0, rho_total=rho_total)
         report = train(config, TINY, nn.MlpModel.init([2, 3, 2], seed=0))
         assert (report.epochs_run, report.stop_reason) == (horizon, "budget_exhausted")
+
+    def test_memory_stays_flat_over_a_long_horizon(self):
+        # 50,000 admitted epochs: keeping one ledger step per epoch would
+        # peak at about 6 MB
+        tracemalloc.start()
+        try:
+            assert epochs_until_exhaustion(NoiseSchedule("uniform", 1000.0), 0.78125, max_epochs=50_000) == 50_000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_rejects_nan_and_inf_budget(self):
         for rho_total in (math.nan, math.inf):
