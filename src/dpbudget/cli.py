@@ -9,8 +9,8 @@ validate-bound  numerical sweep of the sampled-Gaussian moment bound
 tune            private schedule selection via the exponential mechanism
 
 Exit codes: 0 success (for ``train``: budget exhausted), 2 usage error,
-3 precondition violation or infeasible target, 4 numerical failure,
-5 ``train`` stopped at max epochs with budget left.
+3 precondition violation or infeasible target, 5 ``train`` stopped at max
+epochs with budget left.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from . import __version__, accounting, data, dpsgd, nn, renyi, schedules, selection
@@ -29,7 +29,6 @@ from .errors import (
     ConfigError,
     DomainError,
     InfeasibleTargetError,
-    NumericalError,
     ParseError,
     PreconditionError,
     UsageError,
@@ -40,18 +39,16 @@ from .errors import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
-EXIT_NUMERICAL = 4
 EXIT_MAX_EPOCHS = 5
 
 
-def _manifest_lines(args: argparse.Namespace, seed: Optional[int]) -> List[str]:
-    lines = [
-        f"# dpbudget {__version__}",
-        f"# command: {' '.join(sys.argv[1:]) if sys.argv[1:] else args.command}",
-    ]
+def _manifest(args: argparse.Namespace, seed: Optional[int] = None) -> dict:
+    """Provenance of an output: the tool version, the arguments ``main`` was
+    given and, for a seeded command, the seed."""
+    record = {"version": __version__, "command": args.argv}
     if seed is not None:
-        lines.append(f"# seed: {seed}")
-    return lines
+        record["seed"] = seed
+    return record
 
 
 def _write_text(path: str, text: str, encoding: str) -> None:
@@ -64,11 +61,13 @@ def _write_text(path: str, text: str, encoding: str) -> None:
             fh.truncate()
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]], manifest: List[str]) -> None:
+def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]], manifest: dict) -> None:
     def fmt(v: object) -> str:
         return "" if v is None else f"{v:.6f}" if isinstance(v, float) else str(v)
 
-    lines = [*manifest, ",".join(header), *(",".join(fmt(v) for v in row) for row in rows)]
+    version, command, *seed = manifest.values()
+    lines = [f"# dpbudget {version}", f"# command: {' '.join(command)}", *(f"# seed: {s}" for s in seed), ",".join(header)]
+    lines += [",".join(fmt(v) for v in row) for row in rows]
     _write_text(path, "".join(line + "\n" for line in lines), "ascii")
 
 
@@ -94,31 +93,10 @@ def _cmd_account(args: argparse.Namespace) -> int:
         args.out,
         ["epoch", "eps_zcdp_rf", "eps_strong", "eps_zcdp_rs", "eps_ma"],
         rows,
-        _manifest_lines(args, None),
+        _manifest(args),
     )
     print(f"wrote {len(rows)} epochs to {args.out}")
     return EXIT_OK
-
-
-def _object(name: str, value: object, keys: Sequence[str] = ()) -> dict:
-    """``value``, which must be a JSON object, and hold no key outside
-    ``keys`` if they are given."""
-    if type(value) is not dict:
-        raise ConfigError(f"{name} must be a JSON object, got {value!r}")
-    unknown = set(value) - set(keys) if keys else set()
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    return value
-
-
-def _setting(section: str, spec: dict, key: str, default: object = None, integer: bool = True):
-    """``spec[key]`` (``default`` if absent), which must be a finite
-    nonnegative integer, or number if not ``integer``."""
-    value = _object(section, spec).get(key, default)
-    if type(value) not in ((int,) if integer else (int, float)) or not 0 <= value < math.inf:
-        noun = "integer" if integer else "number"
-        raise ConfigError(f"{section}.{key} must be a finite nonnegative {noun}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -184,21 +162,49 @@ class ModelConfig:
         return nn.MlpModel.init([dataset.n_features, *self.hidden, max(2, dataset.n_classes)], seed=seed)
 
 
+@dataclass(frozen=True)
+class RunConfig:
+    """A ``train`` config file: the JSON values of its sections."""
+
+    data: dict
+    schedule: dict
+    train: dict
+    split: Optional[dict] = None
+    model: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class TuneManifest:
+    """A ``tune`` manifest: the JSON values of its sections, the selection's ``eps`` and the seed."""
+
+    data: dict
+    candidates: list
+    train: dict
+    eps: float
+    seed: int = 0
+    model: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        check_config_fields(self, "manifest")
+        if type(self.candidates) is not list:
+            raise ConfigError(f"candidates must be a list, got {self.candidates!r}")
+
+
 def _read_data(spec: object) -> CancerData | SynthData:
-    kind = _object("data", spec).get("kind")
+    kind = spec.get("kind") if type(spec) is dict else None
     if kind not in ("cancer", "synth"):
-        raise ConfigError(f"unknown data kind {kind!r} (expected 'cancer' or 'synth')")
+        raise ConfigError(f"data must be a JSON object of kind 'cancer' or 'synth', got {spec!r}")
     return config_from_json(CancerData if kind == "cancer" else SynthData, "data", spec)
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = _object(args.config, json.load(fh), keys=("data", "split", "model", "schedule", "train"))
-    schedule = schedules.NoiseSchedule.from_dict(cfg["schedule"])
-    config = config_from_json(dpsgd.TrainConfig, "train", cfg["train"], schedule=schedule)
-    data_config = _read_data(cfg["data"])
-    split = None if cfg.get("split") is None else config_from_json(SplitConfig, "split", cfg["split"])
-    model_config = config_from_json(ModelConfig, "model", cfg.get("model", {}))
+        cfg = config_from_json(RunConfig, args.config, json.load(fh))
+    schedule = schedules.NoiseSchedule.from_dict(cfg.schedule)
+    config = config_from_json(dpsgd.TrainConfig, "train", cfg.train, schedule=schedule)
+    data_config = _read_data(cfg.data)
+    split = None if cfg.split is None else config_from_json(SplitConfig, "split", cfg.split)
+    model_config = config_from_json(ModelConfig, "model", cfg.model)
 
     dataset = data_config.load()
     validation = None
@@ -213,16 +219,18 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     report = dpsgd.train(config, train_set, model, test_data=test_set, validation_data=validation)
 
-    _write_csv(args.out + ".csv", dpsgd.EpochRecord._fields, report.records, _manifest_lines(args, config.seed))
+    manifest = _manifest(args, config.seed)
+    _write_csv(args.out + ".csv", dpsgd.EpochRecord._fields, report.records, manifest)
+    # accuracies of the published model: an rs run can stop mid-epoch, after its last record
     summary = {
-        "manifest": {"version": __version__, "command": sys.argv[1:], "seed": config.seed},
+        "manifest": manifest,
         "epochs_run": report.epochs_run,
         "stop_reason": report.stop_reason,
         "total_rho": report.total_rho,
         "final_eps": report.final_privacy.eps,
         "final_delta": report.final_privacy.delta,
-        "final_train_acc": report.records[-1].train_acc if report.records else None,
-        "final_test_acc": report.records[-1].test_acc if report.records else None,
+        "final_train_acc": nn.accuracy(model, train_set.features, train_set.labels),
+        "final_test_acc": None if test_set is None else nn.accuracy(model, test_set.features, test_set.labels),
     }
     _write_text(args.out + ".json", json.dumps(summary, indent=2), "utf-8")
     if args.checkpoint:
@@ -265,7 +273,7 @@ def _cmd_validate_bound(args: argparse.Namespace) -> int:
         report = renyi.validate_moment_bound(sigmas, q_step=q_step, alpha_cap=args.alpha_cap)
 
     payload = {
-        "manifest": {"version": __version__, "command": sys.argv[1:]},
+        "manifest": _manifest(args),
         "points_checked": report.n_points,
         "violations": [
             {"q": c.q, "sigma": c.sigma, "alpha": c.alpha, "divergence": c.divergence, "bound": c.bound}
@@ -280,25 +288,22 @@ def _cmd_validate_bound(args: argparse.Namespace) -> int:
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
-        manifest = _object(args.manifest, json.load(fh), keys=("data", "model", "candidates", "train", "eps", "seed"))
-    dataset = _read_data(manifest["data"]).load()
-    model_config = config_from_json(ModelConfig, "model", manifest.get("model", {}))
-    if type(manifest["candidates"]) is not list:
-        raise ConfigError(f"candidates must be a list, got {manifest['candidates']!r}")
-    candidates = [schedules.NoiseSchedule.from_dict(d) for d in manifest["candidates"]]
-    eps = float(_setting("manifest", manifest, "eps", integer=False))
+        manifest = config_from_json(TuneManifest, args.manifest, json.load(fh))
+    dataset = _read_data(manifest.data).load()
+    model_config = config_from_json(ModelConfig, "model", manifest.model)
+    candidates = [schedules.NoiseSchedule.from_dict(d) for d in manifest.candidates]
+    eps, seed = float(manifest.eps), manifest.seed
     rho = selection.selection_rho(eps)  # rejects a bad eps before any training
-    seed = _setting("manifest", manifest, "seed", 0)
 
     def train_candidate(index: int, portion: data.Dataset):
-        config = config_from_json(dpsgd.TrainConfig, "train", manifest["train"], seed=seed + 1 + index, schedule=candidates[index])
+        config = config_from_json(dpsgd.TrainConfig, "train", manifest.train, seed=seed + 1 + index, schedule=candidates[index])
         model = model_config.build(portion, config.seed)
         dpsgd.train(config, portion, model)
         return lambda features: nn.predict(model, features)
 
     result = selection.partition_tune(dataset, len(candidates), train_candidate, eps, seed)
     payload = {
-        "manifest": {"version": __version__, "command": sys.argv[1:], "seed": seed},
+        "manifest": _manifest(args, seed),
         "selected": result.selected,
         "selected_schedule": candidates[result.selected].to_dict(),
         "z_scores": [s.z for s in result.scores],
@@ -360,18 +365,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(argv, argparse.Namespace(argv=argv))
     try:
         return args.func(args)
-    except (DomainError, UsageError, ConfigError, ParseError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (DomainError, UsageError, ConfigError, ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PreconditionError, InfeasibleTargetError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except NumericalError as exc:
-        print(f"numerical failure: {exc} {exc.diagnostics}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

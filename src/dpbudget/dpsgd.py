@@ -157,6 +157,9 @@ class TrainConfig:
             raise ConfigError(f"batching must be 'rf' or 'rs', got {self.batching!r}")
         if self.clip_norm <= 0.0:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+        for name in ("batch_size", "iters_per_epoch"):
+            if getattr(self, name) == 0:
+                raise ConfigError(f"{name} must be at least 1, got 0")
         if not (0.0 < self.delta < 1.0):
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
         if self.batching == "rf" and self.rho_total is None:
@@ -260,13 +263,13 @@ def train(
             if not ledger.admit(sigma, config.rho_total, config.delta, releases=releases, epoch=epoch):
                 stop_reason = "budget_exhausted"
                 break
-            for indices in rf_batches(n, config.batch_size or n, rng):
+            for indices in rf_batches(n, n if config.batch_size is None else config.batch_size, rng):
                 _noisy_update(model, train_data, indices, sigma, config.lr_at(epoch), config, rng, len(indices))
         else:
             # Dividing by the expected lot size q n, not the sampled batch
             # size, keeps the update's scale independent of the data.
             lot_size = config.q * n
-            iters = config.iters_per_epoch or max(1, round(1.0 / config.q))
+            iters = max(1, round(1.0 / config.q)) if config.iters_per_epoch is None else config.iters_per_epoch
             for it in range(iters):
                 if not ledger.admit(
                     sigma, config.eps_total, config.delta, q=config.q, releases=releases, epoch=epoch, iteration=it

@@ -22,11 +22,7 @@ class PreconditionError(RuntimeError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine failed to converge to the requested accuracy."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    """A numerical search found no answer within its range."""
 
 
 class ConfigError(ValueError):

@@ -100,10 +100,7 @@ def divergence_changepoint(q: float, sigma: float, alpha_max: int = _ORDER_CAP) 
     takeoff = np.flatnonzero(np.diff(curve) > 0.5 * gaussian_slope)
     if takeoff.size:
         return int(alphas[takeoff[0] + 1])
-    raise NumericalError(
-        f"no divergence changepoint found for q={q}, sigma={sigma} up to alpha={alpha_max}",
-        diagnostics={"q": q, "sigma": sigma, "alpha_max": alpha_max},
-    )
+    raise NumericalError(f"no divergence changepoint found for q={q}, sigma={sigma} up to alpha={alpha_max}")
 
 
 def default_lambda_max(q: float, sigma: float) -> int:

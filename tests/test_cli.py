@@ -6,7 +6,7 @@ import os
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dpbudget import accounting, cli, renyi
+from dpbudget import __version__, accounting, cli, data, nn, renyi
 from dpbudget.dpsgd import TrainConfig
 from dpbudget.schedules import NoiseSchedule
 
@@ -205,17 +205,40 @@ class TestTrainCommand:
 
     def test_deterministic_bytes(self, tmp_path, cancer_file):
         cfg = self.make_config(tmp_path, cancer_file, {"kind": "exp", "sigma0": 10.0, "k": 0.01}, max_epochs=4, rho_total=1.0)
-        run(["train", "--config", cfg, "--out", str(tmp_path / "a")])
-        run(["train", "--config", cfg, "--out", str(tmp_path / "b")])
-        assert open(tmp_path / "a.csv", "rb").read() == open(tmp_path / "b.csv", "rb").read()
+        out = str(tmp_path / "a")
+        writes = []
+        for _ in range(2):  # the same command twice, so the recorded command matches too
+            run(["train", "--config", cfg, "--out", out])
+            writes.append([open(out + suffix, "rb").read() for suffix in (".csv", ".json")])
+        assert writes[0] == writes[1]
 
     def test_checkpoint_written(self, tmp_path, cancer_file):
-        from dpbudget import nn
         cfg = self.make_config(tmp_path, cancer_file, {"kind": "uniform", "sigma0": 10.0}, max_epochs=1, rho_total=1.0)
         ckpt = str(tmp_path / "model.ckpt")
         run(["train", "--config", cfg, "--out", str(tmp_path / "c"), "--checkpoint", ckpt])
         model = nn.load_checkpoint(ckpt)
         assert model.layer_sizes == [9, 10, 20, 10, 2]
+
+    def test_rs_summary_accuracies_are_the_checkpoints(self, tmp_path):
+        # the budget runs out mid-epoch, after updates the last epoch record does not see
+        cfg = {
+            "data": {"kind": "synth", "n": 200, "d": 2, "separation": 1.0},
+            "split": {"n_train": 150},
+            "schedule": {"kind": "uniform", "sigma0": 4.0},
+            "train": {
+                "batching": "rs", "q": 0.01, "clip_norm": 1.0, "max_epochs": 1000,
+                "seed": 1, "eps_total": 1.0, "lr": 0.5,
+            },
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out, ckpt = str(tmp_path / "run"), str(tmp_path / "model.ckpt")
+        assert run(["train", "--config", str(path), "--out", out, "--checkpoint", ckpt]) == 0
+        summary = json.loads(open(out + ".json").read())
+        model = nn.load_checkpoint(ckpt)
+        train_set, test_set = data.train_test_split(data.synth_blobs(200, 2, 2, 0, separation=1.0), 150, 0)
+        assert summary["final_train_acc"] == nn.accuracy(model, train_set.features, train_set.labels)
+        assert summary["final_test_acc"] == nn.accuracy(model, test_set.features, test_set.labels)
 
     def test_bad_config_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -232,6 +255,8 @@ class TestTrainCommand:
             ("train", {"batching": "rs", "q": 0.005, "eps_total": math.inf}),
             ("train", {"clip_norm": math.nan}),
             ("schedule", {"k": math.nan}),
+            ("train", {"batch_size": 0}),
+            ("train", {"batching": "rs", "q": 0.005, "eps_total": 1.0, "iters_per_epoch": 0}),
         ],
     )
     def test_invalid_value_exits_2(self, tmp_path, cancer_file, section, override):
@@ -362,6 +387,10 @@ TUNE_MANIFEST = {
             "train requires keys: ['seed']", id="train-without-seed",
         ),
         pytest.param("train", {**TRAIN_CONFIG, "schedule": 5}, "schedule must be a JSON object", id="schedule-not-object"),
+        pytest.param(
+            "train", {k: v for k, v in TRAIN_CONFIG.items() if k != "schedule"}, "requires keys: ['schedule']",
+            id="train-without-schedule",
+        ),
         pytest.param("train", [TRAIN_CONFIG], "must be a JSON object", id="config-is-list"),
         pytest.param("train", {**TRAIN_CONFIG, "split": 5}, "split must be a JSON object", id="split-not-object"),
         pytest.param("train", {**TRAIN_CONFIG, "model": 5}, "model must be a JSON object", id="model-not-object"),
@@ -392,6 +421,10 @@ TUNE_MANIFEST = {
             "train", {**TRAIN_CONFIG, "data": {"kind": "cancer", "path": 0}}, "data.path must be a string",
             id="data-path-not-string",
         ),
+        pytest.param(
+            "tune", {k: v for k, v in TUNE_MANIFEST.items() if k != "data"}, "requires keys: ['data']",
+            id="tune-without-data",
+        ),
         pytest.param("tune", {**TUNE_MANIFEST, "seed": "abc"}, "manifest.seed", id="tune-seed-string"),
         pytest.param("tune", {**TUNE_MANIFEST, "seed": -1}, "manifest.seed", id="tune-seed-negative"),
         pytest.param("tune", {**TUNE_MANIFEST, "eps": "abc"}, "manifest.eps", id="tune-eps-string"),
@@ -411,6 +444,30 @@ def test_bad_config_structure_exits_2(tmp_path, capsys, command, document, messa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert list(tmp_path.iterdir()) == [path]  # no run summary, CSV or selection file
+
+
+def test_outputs_record_the_arguments_main_was_given(tmp_path):
+    config, manifest = tmp_path / "config.json", tmp_path / "tune.json"
+    config.write_text(json.dumps(TRAIN_CONFIG))
+    manifest.write_text(json.dumps(TUNE_MANIFEST))
+    out = {name: str(tmp_path / name) for name in ("curves.csv", "bound.json", "run", "selection.json")}
+    account = ["account", "--epochs", "2", "--out", out["curves.csv"]]
+    bound = ["validate-bound", "--point", "0.01", "4.0", "--out", out["bound.json"]]
+    train = ["train", "--config", str(config), "--out", out["run"]]
+    tune = ["tune", "--manifest", str(manifest), "--out", out["selection.json"]]
+    assert [run(argv) for argv in (account, bound, train, tune)] == [0, 0, 5, 0]
+
+    def comments(path):
+        return [line for line in open(path).read().splitlines() if line.startswith("#")]
+
+    def recorded(path):
+        return json.loads(open(path).read())["manifest"]
+
+    assert comments(out["curves.csv"])[1:] == ["# command: " + " ".join(account)]
+    assert recorded(out["bound.json"])["command"] == bound
+    assert comments(out["run"] + ".csv")[1:] == ["# command: " + " ".join(train), "# seed: 3"]
+    assert recorded(out["run"] + ".json") == {"version": __version__, "command": train, "seed": 3}
+    assert recorded(out["selection.json"]) == {"version": __version__, "command": tune, "seed": 7}
 
 
 class TestTuneCommand:

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 from dpbudget import accounting, renyi
-from dpbudget.errors import DomainError
+from dpbudget.errors import DomainError, NumericalError
 
 
 def binomial_log_power(q, sigma, alpha):
@@ -179,6 +179,11 @@ class TestChangepoint:
         d189 = renyi.subsampled_renyi_divergence(0.01, 4.0, 189.0)
         d190 = renyi.subsampled_renyi_divergence(0.01, 4.0, 190.0)
         assert (d190 - d189) == pytest.approx(line_slope, rel=0.25)
+
+    def test_no_knee_below_alpha_max_raises(self):
+        # at q = 0.001, sigma = 30 the curve is still flat at order 10
+        with pytest.raises(NumericalError, match="q=0.001, sigma=30.0 up to alpha=10"):
+            renyi.divergence_changepoint(0.001, 30.0, alpha_max=10)
 
 
 class TestMomentsAccountant:
