@@ -73,8 +73,11 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]
 
 def _cmd_account(args: argparse.Namespace) -> int:
     delta, sigma, q = args.delta, args.sigma, args.q
-    u_alpha = accounting.rs_order_cap(q, sigma)  # rejects a bad q or sigma first
-    iters = args.iters_per_epoch if args.iters_per_epoch else max(1, round(1.0 / q))
+    accounting.check_rs_ratio(q, sigma)  # the eps_zcdp_rs column holds only for q <= 1/(16 sigma)
+    u_alpha = accounting.rs_order_cap(q, sigma)
+    iters = round(1.0 / q) if args.iters_per_epoch is None else args.iters_per_epoch
+    if iters < 1:
+        raise DomainError(f"--iters-per-epoch must be at least 1, got {iters}")
 
     classic = accounting.classic_gaussian_dp(sigma, delta)
     per_epoch_rho = accounting.gaussian_rho(sigma)
@@ -324,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=0.01, help="sampling ratio (default 0.01)")
     p.add_argument("--sigma", type=float, default=6.0, help="noise multiplier (default 6)")
     p.add_argument("--epochs", type=int, default=400)
-    p.add_argument("--iters-per-epoch", type=int, default=0, help="default: round(1/q)")
+    p.add_argument("--iters-per-epoch", type=int, default=None, help="default: round(1/q)")
     p.add_argument("--delta", type=float, default=1e-5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_account)

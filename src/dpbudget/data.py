@@ -8,7 +8,7 @@ each example independently with probability q.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -22,7 +22,6 @@ CANCER_FEATURE_SCALE = 10.0  # features are integer-valued 1..10
 class Dataset:
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray    # (n,) int64
-    name: str = ""
     normalization: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -46,13 +45,8 @@ class Dataset:
     def n_classes(self) -> int:
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 
-    def subset(self, indices: np.ndarray, name: Optional[str] = None) -> "Dataset":
-        return Dataset(
-            self.features[indices],
-            self.labels[indices],
-            name=name if name is not None else self.name,
-            normalization=dict(self.normalization),
-        )
+    def subset(self, indices: np.ndarray) -> "Dataset":
+        return Dataset(self.features[indices], self.labels[indices], normalization=dict(self.normalization))
 
 
 def load_cancer_csv(path: str) -> Dataset:
@@ -96,7 +90,6 @@ def load_cancer_csv(path: str) -> Dataset:
     return Dataset(
         np.array(features),
         np.array(labels),
-        name="cancer",
         normalization={
             "scale": CANCER_FEATURE_SCALE,
             "source_rows": total_rows,
@@ -110,10 +103,7 @@ def train_test_split(dataset: Dataset, n_train: int, seed: int) -> tuple[Dataset
     if not 0 < n_train < len(dataset):
         raise DomainError(f"n_train must lie strictly between 0 and {len(dataset)}")
     perm = np.random.default_rng(seed).permutation(len(dataset))
-    return (
-        dataset.subset(perm[:n_train], name=dataset.name + ":train"),
-        dataset.subset(perm[n_train:], name=dataset.name + ":test"),
-    )
+    return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
 
 
 def rf_batches(n: int, batch_size: int, rng: np.random.Generator) -> List[np.ndarray]:
@@ -138,9 +128,8 @@ def synth_blobs(
     n_classes: int,
     seed: int,
     separation: float = 4.0,
-    spread: float = 1.0,
 ) -> Dataset:
-    """Deterministic Gaussian-blob classification data for fast tests."""
+    """Deterministic unit-variance Gaussian blobs: classification data for fast tests."""
     if n < 1:
         raise DomainError(f"need at least one example, got n={n}")
     if d < 1 or n_classes < 2:
@@ -152,6 +141,6 @@ def synth_blobs(
     for c in range(n_classes):
         centers[c, (c // 2) % d] = separation * (-1.0 if c % 2 else 1.0)
     labels = np.arange(n) % n_classes
-    features = centers[labels] + rng.normal(0.0, spread, size=(n, d))
+    features = centers[labels] + rng.normal(0.0, 1.0, size=(n, d))
     perm = rng.permutation(n)
-    return Dataset(features[perm], labels[perm], name=f"blobs-{n}x{d}")
+    return Dataset(features[perm], labels[perm])

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .accounting import EpsDelta, rs_order_cap
 from .errors import DomainError, NumericalError
@@ -43,6 +42,11 @@ def _blocks(n_rows: int, row_len: int) -> List[slice]:
     """Row ranges holding at most ``_BLOCK_ENTRIES`` entries (one row at least)."""
     step = max(1, _BLOCK_ENTRIES // max(1, row_len))
     return [slice(i, i + step) for i in range(0, n_rows, step)]
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """``log(k!)`` for k = 0..n."""
+    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
 
 
 def _log_moments(q: float, sigma: float, alphas: np.ndarray) -> np.ndarray:
@@ -63,7 +67,7 @@ def _log_moments(q: float, sigma: float, alphas: np.ndarray) -> np.ndarray:
     if q == 1.0:  # two unit-separated Gaussians: only the j = alpha term is left
         return alphas * (alphas - 1.0) / (2.0 * sigma * sigma)
     j = np.arange(2, int(alphas.max()) + 1)
-    log_fact = gammaln(np.arange(1.0, j[-1] + 2.0))  # log(n!) for n = 0..max order
+    log_fact = _log_factorials(int(j[-1]))
     x = j * (j - 1.0) / (2.0 * sigma * sigma)
     log_col = j * math.log(q) - log_fact[j] + x + np.log(-np.expm1(-x))  # log(q^j (e^x - 1) / j!)
     out = np.empty(alphas.size)

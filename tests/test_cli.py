@@ -2,10 +2,13 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import dpbudget
 from dpbudget import __version__, accounting, cli, data, nn, renyi
 from dpbudget.dpsgd import TrainConfig
 from dpbudget.schedules import NoiseSchedule
@@ -135,6 +138,7 @@ class TestValidateBoundCommand:
         ["validate-bound", "--sigma-step", "0"],
         ["account", "--epochs", "-5"],
         ["account", "--epochs", "0", "--iters-per-epoch", "-3"],
+        ["account", "--iters-per-epoch", "0"],
         ["account", "--q", "nan"],
         ["solve-k", "--kind", "exp", "--sigma0", "10", "--target", "60", "--rho-total", "nan"],
         ["solve-k", "--kind", "exp", "--sigma0", "10", "--target", "60", "--rho-total", "inf"],
@@ -151,12 +155,15 @@ def test_invalid_numeric_argument_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["validate-bound", "account"])
 @pytest.mark.parametrize("point", [["0.5", "2.0"], ["0.01", "8.0"], ["0.0021", "30"]])
-def test_point_outside_ratio_bound_exits_3(tmp_path, capsys, point):
-    # q > 1/(16 sigma): the moment bound is not claimed there, so nothing
-    # would be checked
+def test_point_outside_ratio_bound_exits_3(tmp_path, capsys, command, point):
+    # q > 1/(16 sigma): the moment bound is not claimed there, so validate-bound
+    # would check nothing and account's rs column would be uncertified
     out = tmp_path / "x.json"
-    assert run(["validate-bound", "--point", *point, "--out", str(out)]) == 3
+    q, sigma = point
+    args = ["--point", q, sigma] if command == "validate-bound" else ["--q", q, "--sigma", sigma]
+    assert run([command, *args, "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("infeasible: ")
     assert not out.exists()
 
@@ -468,6 +475,38 @@ def test_outputs_record_the_arguments_main_was_given(tmp_path):
     assert comments(out["run"] + ".csv")[1:] == ["# command: " + " ".join(train), "# seed: 3"]
     assert recorded(out["run"] + ".json") == {"version": __version__, "command": train, "seed": 3}
     assert recorded(out["selection.json"]) == {"version": __version__, "command": tune, "seed": 7}
+
+
+NUMPY_ONLY = """
+import json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from dpbudget import cli
+print(json.dumps([cli.main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: every command exits 0 with scipy unimportable
+    rf = {**TRAIN_CONFIG, "train": {"clip_norm": 1.0, "max_epochs": 10, "seed": 3, "rho_total": 0.0625}}
+    rs = {**TRAIN_CONFIG, "train": {"batching": "rs", "q": 0.01, "clip_norm": 1.0, "max_epochs": 1000, "seed": 3, "eps_total": 0.5}}
+    for name, document in (("rf.json", rf), ("rs.json", rs), ("tune.json", TUNE_MANIFEST)):
+        (tmp_path / name).write_text(json.dumps(document))
+    out = str(tmp_path / "out")
+    argvs = [
+        ["account", "--out", out],
+        ["validate-bound", "--point", "0.01", "6", "--out", out],
+        ["solve-k", "--kind", "exp", "--sigma0", "10", "--rho-total", "0.78125", "--target", "60"],
+        ["train", "--config", str(tmp_path / "rf.json"), "--out", out],
+        ["train", "--config", str(tmp_path / "rs.json"), "--out", out],
+        ["tune", "--manifest", str(tmp_path / "tune.json"), "--out", out],
+    ]
+    src = os.path.dirname(os.path.dirname(dpbudget.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY, json.dumps(argvs)], capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [0] * len(argvs)
 
 
 class TestTuneCommand:

@@ -91,6 +91,10 @@ class TestAllOrders:
             single = renyi.subsampled_renyi_divergence(q, sigma, alpha)
             assert value == pytest.approx(single, rel=1e-14, abs=0.0)
 
+    def test_log_factorial_table_matches_gammaln(self):
+        n = np.arange(5001)
+        np.testing.assert_allclose(renyi._log_factorials(5000), gammaln(n + 1.0), rtol=1e-15, atol=0.0)
+
     def test_block_size_does_not_change_values(self, monkeypatch):
         alphas = np.arange(2, 60)
         whole = renyi._log_moments(0.02, 3.0, alphas)
