@@ -27,6 +27,13 @@ from .errors import DomainError, PreconditionError, UsageError
 #: sigma=8 against 0.78125) are admitted despite float rounding.
 BUDGET_TOL = 1e-12
 
+#: Smallest noise multiplier rs accounting admits: the lower edge of the sigma
+#: range over which ``dpbudget validate-bound``'s default grid confirms the
+#: moment bound ``D_alpha <= alpha q^2 / sigma^2``.  Below sigma of about 1.08
+#: the bound fails near q = 1/(16 sigma), so Abadi et al.'s sigma >= 1 is not
+#: enough.
+RS_SIGMA_MIN = 2.0
+
 
 class EpsDelta(NamedTuple):
     eps: float
@@ -145,6 +152,17 @@ def check_rs_ratio(q: float, sigma: float) -> None:
         )
 
 
+def check_rs_release(q: float, sigma: float) -> None:
+    """Validate the preconditions of charging ``q^2/sigma^2`` for one sampled
+    release: the ratio bound of :func:`check_rs_ratio` and ``sigma >=``
+    :data:`RS_SIGMA_MIN`, the region where the moment bound was validated."""
+    check_rs_ratio(q, sigma)
+    if sigma < RS_SIGMA_MIN:
+        raise PreconditionError(
+            f"rs accounting requires sigma >= {RS_SIGMA_MIN}, where the moment bound is validated; got sigma={sigma}"
+        )
+
+
 def rs_eps(rho_hat: float, u_alpha: float, delta: float) -> float:
     """Two-branch (eps, delta) conversion for order-capped Renyi bounds.
 
@@ -192,7 +210,7 @@ class PrivacyLedger:
         """Validate one release and return its step, cost included."""
         if self.mode == "rf":
             return LedgerStep(epoch, None, None, sigma, gaussian_rho(sigma))
-        check_rs_ratio(q, sigma)
+        check_rs_release(q, sigma)
         return LedgerStep(epoch, iteration, q, sigma, q * q / (sigma * sigma))
 
     def _record(

@@ -73,7 +73,7 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[object]
 
 def _cmd_account(args: argparse.Namespace) -> int:
     delta, sigma, q = args.delta, args.sigma, args.q
-    accounting.check_rs_ratio(q, sigma)  # the eps_zcdp_rs column holds only for q <= 1/(16 sigma)
+    accounting.check_rs_release(q, sigma)  # the eps_zcdp_rs column holds only where the moment bound does
     u_alpha = accounting.rs_order_cap(q, sigma)
     iters = round(1.0 / q) if args.iters_per_epoch is None else args.iters_per_epoch
     if iters < 1:
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve_k)
 
     p = sub.add_parser("validate-bound", help="sweep the sampled-Gaussian moment bound")
-    p.add_argument("--sigma-min", type=float, default=2.0)
+    p.add_argument("--sigma-min", type=float, default=accounting.RS_SIGMA_MIN)
     p.add_argument("--sigma-max", type=float, default=30.0)
     p.add_argument("--sigma-step", type=float, default=0.001)
     p.add_argument("--q-step", type=float, default=0.001)

@@ -38,7 +38,8 @@ def _gaussian_noise(rng: np.random.Generator, sigma: float, clip_norm: float, si
         raise DomainError(f"clip_norm must be positive and finite, got {clip_norm}")
     if not 0.0 <= sigma < math.inf:
         raise DomainError(f"sigma must be finite and nonnegative, got {sigma}")
-    return rng.normal(0.0, sigma * clip_norm, size=size)
+    # equal to rng.normal(0.0, sigma * clip_norm, size), without adding its zero mean
+    return rng.standard_normal(size) * (sigma * clip_norm)
 
 
 def clip_rows(per_example: np.ndarray, clip_norm: float) -> np.ndarray:

@@ -36,12 +36,15 @@ from .errors import DomainError, NumericalError
 _BLOCK_ENTRIES = 1 << 16
 # Highest moment order of the accountant and of the bound validation.
 _ORDER_CAP = 200
+# exp(x) rounds to exactly 0.0 for every double x below this (to 0.0 from
+# about -745.13 down).
+_EXP_ZERO = -746.0
 
 
 def _blocks(n_rows: int, row_len: int) -> List[slice]:
     """Row ranges holding at most ``_BLOCK_ENTRIES`` entries (one row at least)."""
     step = max(1, _BLOCK_ENTRIES // max(1, row_len))
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
+    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -49,13 +52,25 @@ def _log_factorials(n: int) -> np.ndarray:
     return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
 
 
+def _toeplitz_rows(seq: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of the n-column matrix ``T[r, c] = seq[n-1-r+c]``, where
+    ``seq`` has length 2n - 1, as a view of ``seq``."""
+    n, step = (seq.size + 1) // 2, seq.itemsize
+    return np.ndarray((rows.stop - rows.start, n), seq.dtype, seq, (n - 1 - rows.start) * step, (-step, step))
+
+
 def _log_moments(q: float, sigma: float, alphas: np.ndarray) -> np.ndarray:
     """``(alpha - 1) * D_alpha(mixture || base)`` at every integer order in
     ``alphas`` (each at least 2; integral floats such as ``100.0`` too), from
     the closed form in the module docstring.
 
-    Row ``alpha`` of the (order x j) matrix holds the log of term j, or -inf
-    for j > alpha; each row is reduced by a log-sum-exp and then ``log1p``.
+    Row ``alpha`` of the (order x j) matrix, for every order 2..max(alphas),
+    holds the log of term j, or -inf for j > alpha; each row is reduced by a
+    log-sum-exp and then ``log1p``, and the requested rows are returned.
+    With k = alpha - j, the parts ``log k!`` and ``k log(1-q)`` are Toeplitz
+    in (alpha, j): each is a strided view of one sequence over k, with
+    ``log k! = +inf`` for k < 0.  ``exp`` is taken only where it can be
+    nonzero.
     """
     if not 0.0 < q <= 1.0:
         raise DomainError(f"sampling ratio q must lie in (0, 1], got {q}")
@@ -67,18 +82,26 @@ def _log_moments(q: float, sigma: float, alphas: np.ndarray) -> np.ndarray:
     if q == 1.0:  # two unit-separated Gaussians: only the j = alpha term is left
         return alphas * (alphas - 1.0) / (2.0 * sigma * sigma)
     j = np.arange(2, int(alphas.max()) + 1)
+    n = j.size
     log_fact = _log_factorials(int(j[-1]))
     x = j * (j - 1.0) / (2.0 * sigma * sigma)
     log_col = j * math.log(q) - log_fact[j] + x + np.log(-np.expm1(-x))  # log(q^j (e^x - 1) / j!)
-    out = np.empty(alphas.size)
-    for rows in _blocks(alphas.size, j.size):
-        a = alphas[rows, None]
-        k = a - j
-        terms = log_fact[a] - log_fact[np.maximum(k, 0)] + k * math.log1p(-q) + log_col
-        terms = np.where(k >= 0, terms, -math.inf)
+    # Both sequences run over k = alpha - j from n-1 down to -(n-1).
+    log_fact_k = np.concatenate([log_fact[n - 1 :: -1], np.full(n - 1, math.inf)])
+    k_log1m_q = np.arange(n - 1, -n, -1) * math.log1p(-q)
+    out = np.empty(n)
+    for rows in _blocks(n, n):
+        terms = np.subtract(log_fact[j[rows], None], _toeplitz_rows(log_fact_k, rows))
+        terms += _toeplitz_rows(k_log1m_q, rows)
+        terms += log_col
         peak = terms.max(axis=1, keepdims=True)
-        out[rows] = np.logaddexp(0.0, peak[:, 0] + np.log(np.sum(np.exp(terms - peak), axis=1)))
-    return out
+        terms -= peak
+        # exp where it can be nonzero; elsewhere it would return exactly 0.0
+        dead = terms < _EXP_ZERO
+        np.exp(terms, out=terms, where=~dead)
+        np.copyto(terms, 0.0, where=dead)
+        out[rows] = np.logaddexp(0.0, peak[:, 0] + np.log(np.sum(terms, axis=1)))
+    return out[alphas - 2]
 
 
 def subsampled_renyi_divergence(q: float, sigma: float, alpha: float) -> float:

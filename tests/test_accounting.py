@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from dpbudget import accounting
+from dpbudget import accounting, renyi
 from dpbudget.accounting import BUDGET_TOL, EpsDelta, PrivacyLedger
 from dpbudget.errors import DomainError, PreconditionError, UsageError
 
@@ -197,6 +198,34 @@ class TestRsLedger:
         assert replayed.steps == ledger.steps
 
 
+class TestRsSigmaFloor:
+    """rs releases are priced only at sigma >= RS_SIGMA_MIN, where the moment
+    bound behind the q^2/sigma^2 charge was validated."""
+
+    def test_ledger_refuses_sigma_where_the_bound_fails(self):
+        q, sigma = 0.0497, 1.0  # q <= 1/(16 sigma), yet D_4 exceeds the bound
+        assert renyi.subsampled_renyi_divergence(q, sigma, 4) > 4 * q * q / (sigma * sigma)
+        ledger = PrivacyLedger("rs")
+        with pytest.raises(PreconditionError, match="sigma >= 2.0"):
+            ledger.admit(sigma, 1e9, 1e-5, q=q)
+        with pytest.raises(PreconditionError, match="sigma >= 2.0"):
+            ledger.charge_rs_iteration(q, sigma)
+        assert _state(ledger) == _state(PrivacyLedger("rs"))
+
+    def test_floor_itself_is_admitted(self):
+        ledger = PrivacyLedger("rs").charge_rs_iteration(1.0 / 32.0, accounting.RS_SIGMA_MIN)
+        assert ledger.rho_hat == (1.0 / 32.0) ** 2 / 4.0
+
+    def test_replay_refuses_a_step_below_the_floor(self):
+        ledger = PrivacyLedger("rs")
+        ledger.steps.append(accounting.LedgerStep(0, 0, 0.01, 1.9, 0.01 ** 2 / 1.9 ** 2))
+        with pytest.raises(PreconditionError):
+            ledger.replay()
+
+    def test_rf_mode_has_no_floor(self):
+        assert PrivacyLedger("rf").admit(1.0, 1.0, 1e-5)
+
+
 class TestAmplification:
     def test_formula(self):
         got = accounting.amplify_by_sampling(0.808, 1e-5, 0.01)
@@ -261,11 +290,13 @@ def _admission_runs(draw):
     """(mode, admissions, budget).  Each admission is (sigma, q, releases),
     with q None in rf mode.  Half the budgets are free; the others sit within
     a few ulps of the spend after some prefix of the admissions, where a check
-    that adds up differently from the charge lets the spend overrun."""
+    that adds up differently from the charge lets the spend overrun.  rs
+    noise scales start at the floor ``RS_SIGMA_MIN``, below which the ledger
+    refuses to price a release."""
     mode = draw(st.sampled_from(["rf", "rs"]))
     run = []
     for _ in range(draw(st.integers(1, 12))):
-        sigma = draw(st.floats(1.0, 20.0))
+        sigma = draw(st.floats(1.0 if mode == "rf" else accounting.RS_SIGMA_MIN, 20.0))
         q = draw(st.floats(1e-4, 1.0 / (16.0 * sigma))) if mode == "rs" else None
         run.append((sigma, q, draw(st.integers(1, 4))))
     if draw(st.booleans()):
@@ -307,6 +338,42 @@ class TestLedgerInvariants:
             else:
                 assert _state(ledger) == before
             assert _state(ledger.replay()) == _state(ledger)
+
+
+@st.composite
+def _rs_offers(draw):
+    """(q, sigma, releases) offered to an rs ledger one after another: sigma
+    from 0.5 to 30, below the floor too, and q up to the ratio bound
+    1/(16 sigma), near which the moment bound is tightest."""
+    offers = []
+    for _ in range(draw(st.integers(1, 8))):
+        sigma = draw(st.floats(0.5, 30.0))
+        offers.append((draw(st.floats(0.05, 1.0)) / (16.0 * sigma), sigma, draw(st.integers(1, 50))))
+    return offers
+
+
+class TestRsChargeCoversExactRenyi:
+    """The rs charge of q^2/sigma^2 a release stands for D_alpha <= alpha
+    q^2/sigma^2 at every order 2 <= alpha <= u_alpha.  So the exact
+    integer-order divergences of the admitted releases, composed, stay within
+    (alpha - 1) alpha rho_hat at every order up to the ledger's order cap.
+    This checks the charge itself, not its conversion to (eps, delta)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(offers=_rs_offers())
+    @example(offers=[(0.0497, 1.0, 1)])
+    def test_composed_divergence_within_charge(self, offers):
+        ledger, admitted = PrivacyLedger("rs"), []
+        for q, sigma, releases in offers:
+            try:
+                ledger.admit(sigma, math.inf, DELTA, q=q, releases=releases)
+            except PreconditionError:
+                continue
+            admitted.append((q, sigma, releases))
+        assume(admitted and ledger.u_alpha_min >= 2.0)  # some integer order to check
+        alphas = np.arange(2, min(math.floor(ledger.u_alpha_min), renyi._ORDER_CAP) + 1)
+        composed = sum(releases * renyi._log_moments(q, sigma, alphas) for q, sigma, releases in admitted)
+        assert np.all(composed <= (alphas - 1.0) * alphas * ledger.rho_hat)
 
 
 class TestAccountantShapes:

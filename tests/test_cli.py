@@ -168,6 +168,41 @@ def test_point_outside_ratio_bound_exits_3(tmp_path, capsys, command, point):
     assert not out.exists()
 
 
+class TestRsSigmaFloor:
+    """rs accounting stops at accounting.RS_SIGMA_MIN, where the validated
+    region of the moment bound ends; validate-bound still probes below it."""
+
+    def test_account_below_floor_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "curves.csv"
+        assert run(["account", "--sigma", "1.5", "--q", "0.01", "--out", str(out)]) == 3
+        assert "sigma >= 2.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_point_below_floor_reports_the_violation(self, tmp_path):
+        out = tmp_path / "point.json"
+        assert run(["validate-bound", "--point", "0.0497", "1.0", "--out", str(out)]) == 0
+        [violation] = json.loads(out.read_text())["violations"]
+        assert (violation["alpha"], round(violation["divergence"], 5), round(violation["bound"], 5)) == (4, 0.01126, 0.00988)
+
+    def test_grid_starts_at_the_floor(self):
+        args = cli.build_parser().parse_args(["validate-bound", "--out", "x"])
+        assert args.sigma_min == accounting.RS_SIGMA_MIN
+
+    def test_decaying_rs_train_exits_3_when_sigma_crosses_the_floor(self, tmp_path, capsys):
+        # sigma 4 e^-t falls below 2 in epoch 1; the budget would allow far more
+        cfg = {
+            "data": {"kind": "synth", "n": 100, "d": 2},
+            "schedule": {"kind": "exp", "sigma0": 4.0, "k": 1.0},
+            "train": {"batching": "rs", "q": 0.01, "clip_norm": 1.0, "max_epochs": 5, "seed": 1, "eps_total": 50.0},
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(path), "--out", str(out)]) == 3
+        assert "sigma >= 2.0" in capsys.readouterr().err
+        assert not os.path.exists(str(out) + ".json")
+
+
 class TestTrainCommand:
     def make_config(self, tmp_path, cancer_file, schedule, max_epochs=3, rho_total=1.0):
         cfg = {

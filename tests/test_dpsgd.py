@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -398,6 +399,18 @@ class TestTrainRs:
         train(config, ds, model)
         np.testing.assert_allclose(flat_params(model), before - lr * noise / (q * len(ds)), rtol=1e-14, atol=0)
 
+    def test_sigma_floor_aborts_a_decaying_schedule(self):
+        config = TrainConfig(
+            schedule=schedules.exp_decay(4.0, 1.0),  # sigma 1.47 in epoch 1
+            clip_norm=1.0, max_epochs=3, seed=9, batching="rs", q=0.01, iters_per_epoch=10, eps_total=50.0,
+        )
+        model, first_epoch_only = nn.MlpModel.init([2, 8, 2], seed=9), nn.MlpModel.init([2, 8, 2], seed=9)
+        with pytest.raises(PreconditionError, match="sigma >= 2.0"):
+            train(config, small_blobs(), model)
+        # epoch 0 ran at sigma 4; nothing was released once epoch 1's first charge was refused
+        train(dataclasses.replace(config, max_epochs=1), small_blobs(), first_epoch_only)
+        assert np.array_equal(model.params, first_epoch_only.params)
+
     def test_ratio_precondition_aborts(self):
         ds = small_blobs()
         config = TrainConfig(
@@ -455,7 +468,9 @@ class TestSpendProperties:
     @settings(max_examples=20, deadline=None)
     @given(
         kind=st.sampled_from(["uniform", "exp"]),
-        sigma0=st.floats(1.0, 10.0),
+        # from 2.5, exp decay by 0.1 an epoch stays above RS_SIGMA_MIN for the
+        # three epochs: 2.5 e^-0.2 = 2.05
+        sigma0=st.floats(2.5, 10.0),
         q_frac=st.floats(0.05, 1.0),
         eps_total=st.floats(0.0, 2.0),
         per_layer_clip=st.booleans(),
@@ -545,17 +560,20 @@ class TestMatchesPerExampleUpdate:
         [
             (120, {"batch_size": None}),
             (120, {"batch_size": 7}),
-            (120, {"batching": "rs", "q": 0.05, "iters_per_epoch": 20}),
+            (120, {"batching": "rs", "q": 0.02, "iters_per_epoch": 20}),
             # at q n = 1, about a third of the sampled batches are empty
-            (20, {"batching": "rs", "q": 0.05, "iters_per_epoch": 20}),
+            (50, {"batching": "rs", "q": 0.02, "iters_per_epoch": 20}),
         ],
         ids=["rf-full", "rf-7", "rs", "rs-empty-batches"],
     )
     def test_same_stream_same_parameters(self, monkeypatch, n_examples, batching, per_layer_clip):
         ds = data.synth_blobs(n_examples, 2, 2, seed=5, separation=4.0)
         budget = {"eps_total": 50.0} if "q" in batching else {"rho_total": 50.0}
+        # rs accounting admits sigma >= RS_SIGMA_MIN only: 3 e^-0.3 = 2.22 at
+        # the last epoch, and q <= 1/(16 * 3)
+        sigma0 = 3.0 if "q" in batching else 1.0
         config = TrainConfig(
-            schedule=schedules.exp_decay(1.0, 0.1), clip_norm=0.5, max_epochs=4, seed=21, lr=0.2,
+            schedule=schedules.exp_decay(sigma0, 0.1), clip_norm=0.5, max_epochs=4, seed=21, lr=0.2,
             per_layer_clip=per_layer_clip, **batching, **budget,
         )
 
@@ -578,7 +596,7 @@ class TestMatchesPerExampleUpdate:
         assert ghost_report.ledger.steps == reference_report.ledger.steps
         assert ghost_report.total_rho == reference_report.total_rho
         assert ghost_report.final_privacy == reference_report.final_privacy
-        if n_examples == 20:
+        if n_examples == 50:
             assert 15 <= batch_sizes.count(0) <= 45
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gammaln, logsumexp
 
 from dpbudget import accounting, renyi
@@ -19,6 +20,30 @@ def binomial_log_power(q, sigma, alpha):
         + j * (j - 1) / (2.0 * sigma * sigma)
     )
     return float(logsumexp(terms))
+
+
+def reference_log_moments(q, sigma, alphas):
+    """The moment kernel as first written, the oracle for ``_log_moments``: one
+    row per requested order, gathered from the log-factorial table at k =
+    alpha - j, set to -inf where k < 0 and exponentiated everywhere.  The
+    Toeplitz kernel forms the same IEEE terms in the same order and sums the
+    same full-width rows, so the two agree bit for bit."""
+    alphas = alphas.astype(np.int64)
+    if q == 1.0:
+        return alphas * (alphas - 1.0) / (2.0 * sigma * sigma)
+    j = np.arange(2, int(alphas.max()) + 1)
+    log_fact = renyi._log_factorials(int(j[-1]))
+    x = j * (j - 1.0) / (2.0 * sigma * sigma)
+    log_col = j * math.log(q) - log_fact[j] + x + np.log(-np.expm1(-x))
+    out = np.empty(alphas.size)
+    for rows in renyi._blocks(alphas.size, j.size):
+        a = alphas[rows, None]
+        k = a - j
+        terms = log_fact[a] - log_fact[np.maximum(k, 0)] + k * math.log1p(-q) + log_col
+        terms = np.where(k >= 0, terms, -math.inf)
+        peak = terms.max(axis=1, keepdims=True)
+        out[rows] = np.logaddexp(0.0, peak[:, 0] + np.log(np.sum(np.exp(terms - peak), axis=1)))
+    return out
 
 
 def mpmath_divergence(q, sigma, alpha, reverse=False):
@@ -111,6 +136,37 @@ class TestAllOrders:
         assert np.array_equal(renyi._log_moments(0.02, 3.0, np.arange(2.0, 60.0)), whole)
         lam = renyi.moments_accountant_eps(0.01, 6.0, 100, 1e-5, lambda_max=150)
         assert renyi.moments_accountant_eps(0.01, 6.0, 100, 1e-5, lambda_max=150.0) == lam
+
+
+_ORDER_SETS = st.one_of(
+    st.lists(st.integers(2, 300), min_size=1, max_size=20).map(np.array),  # unsorted, repeats allowed
+    st.integers(2, 1000).map(lambda a: np.array([a])),
+    st.integers(2, 400).map(lambda m: np.arange(2, m + 1)),
+    st.just(np.arange(2, 1001)),
+)
+
+
+class TestKernelOracle:
+    """``_log_moments`` is bit-identical to ``reference_log_moments``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q=st.floats(0.0, 1.0, exclude_min=True),
+        sigma=st.floats(0.3, 80.0),
+        alphas=_ORDER_SETS,
+    )
+    @example(q=1.0, sigma=4.0, alphas=np.array([7, 2, 30]))
+    @example(q=0.0497, sigma=1.0, alphas=np.arange(2, 5))
+    def test_matches_reference(self, q, sigma, alphas):
+        assert np.array_equal(renyi._log_moments(q, sigma, alphas), reference_log_moments(q, sigma, alphas), equal_nan=True)
+
+    # Rows of these points hold terms whose exp is subnormal or rounds to
+    # 0.0 (between -746 and -708.4 below the row's peak): hundreds at
+    # orders 2..200, thousands at 2..1000.
+    @pytest.mark.parametrize("q,sigma,alpha_max", [(0.002, 15.448, 200), (0.03, 2.0, 200), (0.0497, 1.0, 200), (1e-5, 80.0, 1000)])
+    def test_matches_reference_where_exp_underflows(self, q, sigma, alpha_max):
+        alphas = np.arange(2, alpha_max + 1)
+        assert np.array_equal(renyi._log_moments(q, sigma, alphas), reference_log_moments(q, sigma, alphas))
 
 
 class TestIntegerOrderOracle:
