@@ -91,42 +91,28 @@ def classic_gaussian_dp(sigma: float, delta: float) -> EpsDelta:
     return EpsDelta(math.sqrt(2.0 * math.log(1.25 / delta)) / sigma, delta)
 
 
-def amplify_by_sampling(eps: float, delta: float, q: float) -> EpsDelta:
-    """Privacy amplification of an (eps, delta)-DP mechanism run on a
-    Bernoulli(q) subsample: ``(log(1 + q (e^eps - 1)), q delta)``."""
-    if not (0.0 < q <= 1.0):
-        raise DomainError(f"sampling ratio q must lie in (0, 1], got {q}")
-    if eps < 0.0:
-        raise DomainError(f"eps must be nonnegative, got {eps}")
-    return EpsDelta(math.log1p(q * math.expm1(eps)), q * delta)
-
-
-def strong_composition(eps: float, delta: float, k: int, delta_prime: float) -> EpsDelta:
-    """k-fold strong composition of identical (eps, delta)-DP mechanisms.
-
-    Returns ``(eps sqrt(2 k log(1/delta')) + k eps (e^eps - 1),
-    k delta + delta')``.
-    """
-    if k < 1:
-        raise DomainError(f"k must be at least 1, got {k}")
-    _check_delta(delta_prime)
-    total_eps = eps * math.sqrt(2.0 * k * math.log(1.0 / delta_prime)) + k * eps * math.expm1(eps)
-    return EpsDelta(total_eps, k * delta + delta_prime)
-
-
 def amplified_strong_composition(
     eps0: float, delta0: float, q: float, k: int, delta_prime: float
 ) -> EpsDelta:
     """Strong-composition baseline for k subsampled-Gaussian iterations.
 
     Each step's (eps0, delta0) guarantee is first amplified by Bernoulli(q)
-    sampling, then the k amplified steps are composed with the strong
-    composition theorem using slack ``delta_prime``.  The resulting delta is
-    ``k q delta0 + delta_prime``; no attempt is made to re-split delta0 so the
-    total lands on a prescribed value.
+    sampling to ``(eps, q delta0)`` with ``eps = log(1 + q (e^eps0 - 1))``,
+    then the k amplified steps are composed with the strong composition
+    theorem using slack ``delta_prime``: ``(eps sqrt(2 k log(1/delta'))
+    + k eps (e^eps - 1), k q delta0 + delta')``.  No attempt is made to
+    re-split delta0 so the total delta lands on a prescribed value.
     """
-    per_step = amplify_by_sampling(eps0, delta0, q)
-    return strong_composition(per_step.eps, per_step.delta, k, delta_prime)
+    if not (0.0 < q <= 1.0):
+        raise DomainError(f"sampling ratio q must lie in (0, 1], got {q}")
+    if eps0 < 0.0:
+        raise DomainError(f"eps0 must be nonnegative, got {eps0}")
+    if k < 1:
+        raise DomainError(f"k must be at least 1, got {k}")
+    _check_delta(delta_prime)
+    eps = math.log1p(q * math.expm1(eps0))
+    total_eps = eps * math.sqrt(2.0 * k * math.log(1.0 / delta_prime)) + k * eps * math.expm1(eps)
+    return EpsDelta(total_eps, k * (q * delta0) + delta_prime)
 
 
 def rs_order_cap(q: float, sigma: float) -> float:

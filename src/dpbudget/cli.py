@@ -309,12 +309,11 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         "manifest": _manifest(args, seed),
         "selected": result.selected,
         "selected_schedule": candidates[result.selected].to_dict(),
-        "z_scores": [s.z for s in result.scores],
         "portion_sizes": result.portion_sizes,
         "selection_rho": rho,
     }
     _write_text(args.out, json.dumps(payload, indent=2), "utf-8")
-    print(f"selected candidate {result.selected} with z={result.scores[result.selected].z}")
+    print(f"selected candidate {result.selected}")
     return EXIT_OK
 
 

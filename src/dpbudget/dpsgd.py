@@ -42,13 +42,6 @@ def _gaussian_noise(rng: np.random.Generator, sigma: float, clip_norm: float, si
     return rng.standard_normal(size) * (sigma * clip_norm)
 
 
-def clip_rows(per_example: np.ndarray, clip_norm: float) -> np.ndarray:
-    """Row-wise clipping of an (n_examples, n_params) gradient matrix."""
-    if not 0.0 < clip_norm < math.inf:
-        raise DomainError(f"clip_norm must be positive and finite, got {clip_norm}")
-    return per_example * _clip_factors((per_example * per_example).sum(axis=1), clip_norm)[:, None]
-
-
 def _noisy_clipped_sum(
     inputs: Optional[np.ndarray],
     signals: Optional[np.ndarray],
@@ -148,8 +141,6 @@ class TrainConfig:
     eps_total: Optional[float] = None     # rs budget at reporting delta
     delta: float = 1e-5
     lr: float = 0.05
-    lr_end: Optional[float] = None
-    lr_ramp_epochs: int = 0
     per_layer_clip: bool = False
 
     def __post_init__(self) -> None:
@@ -170,14 +161,6 @@ class TrainConfig:
                 raise ConfigError("rs training requires q in (0, 1)")
             if self.eps_total is None:
                 raise ConfigError("rs training requires an eps_total budget")
-
-    def lr_at(self, epoch: int) -> float:
-        if self.lr_end is None or self.lr_ramp_epochs <= 0:
-            return self.lr
-        if epoch >= self.lr_ramp_epochs:
-            return self.lr_end
-        frac = epoch / self.lr_ramp_epochs
-        return self.lr + (self.lr_end - self.lr) * frac
 
 
 class EpochRecord(NamedTuple):
@@ -265,12 +248,12 @@ def train(
                 stop_reason = "budget_exhausted"
                 break
             for indices in rf_batches(n, n if config.batch_size is None else config.batch_size, rng):
-                _noisy_update(model, train_data, indices, sigma, config.lr_at(epoch), config, rng, len(indices))
+                _noisy_update(model, train_data, indices, sigma, config.lr, config, rng, len(indices))
         else:
             # Dividing by the expected lot size q n, not the sampled batch
             # size, keeps the update's scale independent of the data.
             lot_size = config.q * n
-            iters = max(1, round(1.0 / config.q)) if config.iters_per_epoch is None else config.iters_per_epoch
+            iters = round(1.0 / config.q) if config.iters_per_epoch is None else config.iters_per_epoch
             for it in range(iters):
                 if not ledger.admit(
                     sigma, config.eps_total, config.delta, q=config.q, releases=releases, epoch=epoch, iteration=it
@@ -278,7 +261,7 @@ def train(
                     stop_reason = "budget_exhausted"
                     break
                 indices = rs_batch(n, config.q, rng)
-                _noisy_update(model, train_data, indices, sigma, config.lr_at(epoch), config, rng, lot_size)
+                _noisy_update(model, train_data, indices, sigma, config.lr, config, rng, lot_size)
             if stop_reason == "budget_exhausted":
                 break
 

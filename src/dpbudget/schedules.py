@@ -19,6 +19,7 @@ noise multiplier ``sigma_t``.  Five families are provided:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, fields
 from typing import List, Optional
@@ -188,9 +189,11 @@ def solve_decay_rate(
     in exactly ``target_epochs`` epochs.
 
     The training horizon is monotone in k (nonincreasing for time/exp/poly,
-    nondecreasing for step), so the boundary is located by bisection over
-    grid indices and then verified; a target skipped by the integer-valued
-    horizon raises :class:`InfeasibleTargetError`.
+    nondecreasing for step), so one bisection over grid indices finds the
+    first k whose horizon reaches the target (the last index if none does),
+    and one check confirms that it attains the target exactly.  A target
+    outside the lattice's range of horizons, or one skipped by the
+    integer-valued horizon, raises :class:`InfeasibleTargetError`.
     """
     if kind not in DECAY_KINDS:
         raise ConfigError(f"kind must be one of {DECAY_KINDS}, got {kind!r}")
@@ -212,33 +215,12 @@ def solve_decay_rate(
         hi_index = int(round(1.0 / grid)) - 1
     else:
         hi_index = int(round(1.0 / grid))
-    lo_index = 1
-
-    increasing = kind == "step"  # slower decay (larger k) -> more epochs
-    feasible_lo = horizon(lo_index)
-    feasible_hi = horizon(hi_index)
-    attainable = (
-        min(feasible_hi, feasible_lo) <= target_epochs <= max(feasible_hi, feasible_lo)
-    )
-    if not attainable:
+    sign = 1 if kind == "step" else -1  # step: slower decay (larger k) -> more epochs
+    index = 1 + bisect.bisect_left(range(1, hi_index), sign * target_epochs, key=lambda i: sign * horizon(i))
+    reached = horizon(index)
+    if reached != target_epochs:
         raise InfeasibleTargetError(
-            f"{kind} decay cannot reach {target_epochs} epochs on the grid: "
-            f"horizon ranges over [{min(feasible_lo, feasible_hi)}, {max(feasible_lo, feasible_hi)}]"
+            f"{kind} decay cannot reach exactly {target_epochs} epochs on the {grid:g} grid "
+            f"(nearest attained: {reached})"
         )
-
-    lo, hi = lo_index, hi_index
-    while lo < hi:
-        mid = (lo + hi) // 2
-        reached = horizon(mid)
-        at_or_past = reached >= target_epochs if increasing else reached <= target_epochs
-        if at_or_past:
-            hi = mid
-        else:
-            lo = mid + 1
-    k = lo * grid
-    if horizon(lo) != target_epochs:
-        raise InfeasibleTargetError(
-            f"{kind} decay skips a horizon of exactly {target_epochs} epochs "
-            f"on the {grid:g} grid (nearest attained: {horizon(lo)})"
-        )
-    return k
+    return index * grid

@@ -228,13 +228,26 @@ class TestRsSigmaFloor:
 
 class TestAmplification:
     def test_formula(self):
-        got = accounting.amplify_by_sampling(0.808, 1e-5, 0.01)
-        assert got.eps == pytest.approx(math.log(1 + 0.01 * (math.exp(0.808) - 1)), rel=1e-12)
-        assert got.delta == pytest.approx(1e-7)
+        dp = 1e-6
+        got = accounting.amplified_strong_composition(0.808, 1e-5, 0.01, 1, dp)
+        eps = math.log(1 + 0.01 * (math.exp(0.808) - 1))
+        want = eps * math.sqrt(2 * math.log(1 / dp)) + eps * (math.exp(eps) - 1)
+        assert got.eps == pytest.approx(want, rel=1e-12)
+        assert got.delta == pytest.approx(1e-7 + dp)
 
     def test_identity_at_q1(self):
-        got = accounting.amplify_by_sampling(0.7, 1e-6, 1.0)
-        assert got.eps == pytest.approx(0.7, rel=1e-12)
+        dp = 1e-6
+        got = accounting.amplified_strong_composition(0.7, 1e-6, 1.0, 3, dp)
+        want = 0.7 * math.sqrt(6 * math.log(1 / dp)) + 3 * 0.7 * (math.exp(0.7) - 1)
+        assert got.eps == pytest.approx(want, rel=1e-12)
+        assert got.delta == pytest.approx(3e-6 + dp)
+
+    @pytest.mark.parametrize(
+        "eps0,q,k,dp", [(0.8, 0.0, 1, 1e-5), (0.8, 1.5, 1, 1e-5), (-0.1, 0.5, 1, 1e-5), (0.8, 0.5, 0, 1e-5), (0.8, 0.5, 1, 0.0)]
+    )
+    def test_domain(self, eps0, q, k, dp):
+        with pytest.raises(DomainError):
+            accounting.amplified_strong_composition(eps0, 1e-5, q, k, dp)
 
 
 class TestAdmit:

@@ -457,6 +457,10 @@ TUNE_MANIFEST = {
             id="synth-data-with-path",
         ),
         pytest.param(
+            "train", {**TRAIN_CONFIG, "train": {**TRAIN_CONFIG["train"], "lr_end": 0.01, "lr_ramp_epochs": 10}},
+            "unknown train keys: ['lr_end', 'lr_ramp_epochs']", id="train-lr-ramp-keys",
+        ),
+        pytest.param(
             "tune", {**TUNE_MANIFEST, "candidate": []}, "keys: ['candidate']", id="tune-unknown-top-level-key",
         ),
         pytest.param(
@@ -545,7 +549,7 @@ def test_commands_run_without_scipy(tmp_path):
 
 
 class TestTuneCommand:
-    def test_selection_record(self, tmp_path, cancer_file):
+    def test_selection_record(self, tmp_path, cancer_file, capsys):
         manifest = {
             "data": {"kind": "cancer", "path": cancer_file},
             "eps": 1.0,
@@ -564,7 +568,8 @@ class TestTuneCommand:
         assert code == 0
         record = json.loads(out.read_text())
         assert record["selected"] in (0, 1)
-        assert len(record["z_scores"]) == 2
+        assert "z_scores" not in record  # exact error counts on private data
+        assert capsys.readouterr().out == f"selected candidate {record['selected']}\n"
         assert len(record["portion_sizes"]) == 3
         assert max(record["portion_sizes"]) - min(record["portion_sizes"]) <= 1
         assert record["selection_rho"] == 0.5

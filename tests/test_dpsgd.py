@@ -8,8 +8,15 @@ from scipy.special import ndtr
 
 from dpbudget import data, dpsgd, nn, schedules
 from dpbudget.accounting import BUDGET_TOL
-from dpbudget.dpsgd import TrainConfig, clip_rows, noisy_clipped_sum, noisy_mean_gradient, train
+from dpbudget.dpsgd import TrainConfig, _clip_factors, noisy_clipped_sum, noisy_mean_gradient, train
 from dpbudget.errors import ConfigError, DomainError, PreconditionError
+
+
+def clip_rows(per_example: np.ndarray, clip_norm: float) -> np.ndarray:
+    """Row-wise clipping of an (n_examples, n_params) gradient matrix."""
+    if not 0.0 < clip_norm < math.inf:
+        raise DomainError(f"clip_norm must be positive and finite, got {clip_norm}")
+    return per_example * _clip_factors((per_example * per_example).sum(axis=1), clip_norm)[:, None]
 
 
 class TestClipGradient:
@@ -611,12 +618,3 @@ class TestConfigValidation:
                 schedule=schedules.uniform(8.0), clip_norm=1.0, max_epochs=1, seed=0,
                 batching="rs", eps_total=1.0,
             )
-
-    def test_lr_ramp(self):
-        config = TrainConfig(
-            schedule=schedules.uniform(8.0), clip_norm=1.0, max_epochs=1, seed=0,
-            rho_total=1.0, lr=0.1, lr_end=0.02, lr_ramp_epochs=10,
-        )
-        assert config.lr_at(0) == pytest.approx(0.1)
-        assert config.lr_at(5) == pytest.approx(0.06)
-        assert config.lr_at(10) == config.lr_at(99) == 0.02

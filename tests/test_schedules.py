@@ -278,8 +278,61 @@ class TestSolveDecayRate:
         with pytest.raises(ConfigError):
             solve_decay_rate("exp", 10.0, rho_total, 60, grid=grid)
 
-    def test_infeasible_target(self):
-        with pytest.raises(InfeasibleTargetError):
-            solve_decay_rate("exp", 10.0, BUDGET, 100000)
-        with pytest.raises(InfeasibleTargetError):
-            solve_decay_rate("time", 10.0, BUDGET, 1)
+    @pytest.mark.parametrize("kind", list(DECAY_RATE_TABLE))
+    @pytest.mark.parametrize("target", [1, 100000], ids=["below", "above"])
+    def test_infeasible_target(self, kind, target):
+        # a target outside the lattice's horizons names the horizon at the nearer end
+        last = {"step": 9999, "poly": 160000}.get(kind, 10000)  # the solver's last lattice index
+        ends = [epochs_until_exhaustion(_schedule_with_k(kind, i * 1e-4), BUDGET) for i in (1, last)]
+        nearest = min(ends) if target < min(ends) else max(ends)
+        assert target < min(ends) or target > max(ends)
+        with pytest.raises(InfeasibleTargetError, match=rf"\(nearest attained: {nearest}\)"):
+            solve_decay_rate(kind, 10.0, BUDGET, target, **_solver_kwargs(kind))
+
+
+@st.composite
+def _solver_settings(draw):
+    """(kind, sigma0, rho_total, period, sigma_end) as the solver takes them;
+    the first epoch at sigma0 always fits the budget."""
+    kind = draw(st.sampled_from(["time", "exp", "step", "poly"]))
+    sigma0 = draw(st.floats(2.0, 20.0))
+    rho_total = draw(st.floats(0.2, 2.0))
+    period = draw(st.integers(1, 50)) if kind in ("step", "poly") else None
+    sigma_end = sigma0 * draw(st.floats(0.05, 0.9)) if kind == "poly" else None
+    return kind, sigma0, rho_total, period, sigma_end
+
+
+def _horizon(setting, k):
+    kind, sigma0, rho_total, period, sigma_end = setting
+    return epochs_until_exhaustion(NoiseSchedule(kind, sigma0, k=k, period=period, sigma_end=sigma_end), rho_total)
+
+
+class TestSolverPremise:
+    """The solver's bisection is exact because the horizon is monotone in k."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(setting=_solver_settings(), index=st.integers(1, 9998))
+    @example(setting=("step", 10.0, BUDGET, 10, None), index=9559)
+    @example(setting=("exp", 10.0, BUDGET, None, None), index=137)
+    @example(setting=("poly", 10.0, BUDGET, 100, 2.0), index=62076)  # poly's lattice reaches k = 16
+    def test_horizon_is_monotone_between_neighbouring_lattice_values(self, setting, index):
+        grid = 1e-4
+        here, next_up = _horizon(setting, index * grid), _horizon(setting, (index + 1) * grid)
+        if setting[0] == "step":
+            assert here <= next_up  # a larger factor decays more slowly
+        else:
+            assert here >= next_up
+
+    @settings(max_examples=40, deadline=None)
+    @given(setting=_solver_settings(), grid=st.sampled_from([1e-3, 1e-2]), choice=st.data())
+    def test_solved_rate_attains_the_target_and_the_one_below_does_not(self, setting, grid, choice):
+        kind, sigma0, rho_total, period, sigma_end = setting
+        top = round((16.0 if kind == "poly" else 1.0) / grid) - 1
+        chosen = choice.draw(st.integers(1, top), label="chosen index")
+        target = _horizon(setting, chosen * grid)
+        k = solve_decay_rate(kind, sigma0, rho_total, target, grid=grid, period=period, sigma_end=sigma_end)
+        index = round(k / grid)
+        assert k == index * grid and 1 <= index <= chosen
+        assert _horizon(setting, k) == target
+        if index > 1:
+            assert _horizon(setting, (index - 1) * grid) != target
