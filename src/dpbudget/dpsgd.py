@@ -147,6 +147,10 @@ class TrainConfig:
         check_config_fields(self)
         if self.batching not in ("rf", "rs"):
             raise ConfigError(f"batching must be 'rf' or 'rs', got {self.batching!r}")
+        foreign = ("q", "iters_per_epoch", "eps_total") if self.batching == "rf" else ("batch_size", "rho_total")
+        unread = [name for name in foreign if getattr(self, name) is not None]
+        if unread:
+            raise ConfigError(f"{self.batching} training does not read {unread}")
         if self.clip_norm <= 0.0:
             raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
         for name in ("batch_size", "iters_per_epoch"):

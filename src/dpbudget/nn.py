@@ -79,9 +79,6 @@ class MlpModel:
     def n_params(self) -> int:
         return self.params.size
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(self.weights, self.biases)
-
 
 def _forward(model: MlpModel, x: np.ndarray, inputs_t: np.ndarray) -> np.ndarray:
     """Forward pass with the examples as columns; returns the (n_classes, n)

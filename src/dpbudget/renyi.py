@@ -59,14 +59,12 @@ def _toeplitz_rows(seq: np.ndarray, rows: slice) -> np.ndarray:
     return np.ndarray((rows.stop - rows.start, n), seq.dtype, seq, (n - 1 - rows.start) * step, (-step, step))
 
 
-def _log_moments(q: float, sigma: float, alphas: np.ndarray) -> np.ndarray:
-    """``(alpha - 1) * D_alpha(mixture || base)`` at every integer order in
-    ``alphas`` (each at least 2; integral floats such as ``100.0`` too), from
-    the closed form in the module docstring.
+def _log_moments(q: float, sigma: float, alpha_max: int) -> np.ndarray:
+    """``(alpha - 1) * D_alpha(mixture || base)`` at the integer orders
+    alpha = 2..alpha_max, from the closed form in the module docstring.
 
-    Row ``alpha`` of the (order x j) matrix, for every order 2..max(alphas),
-    holds the log of term j, or -inf for j > alpha; each row is reduced by a
-    log-sum-exp and then ``log1p``, and the requested rows are returned.
+    Row ``alpha`` of the (order x j) matrix holds the log of term j, or -inf
+    for j > alpha; each row is reduced by a log-sum-exp and then ``log1p``.
     With k = alpha - j, the parts ``log k!`` and ``k log(1-q)`` are Toeplitz
     in (alpha, j): each is a strided view of one sequence over k, with
     ``log k! = +inf`` for k < 0.  ``exp`` is taken only where it can be
@@ -76,14 +74,13 @@ def _log_moments(q: float, sigma: float, alphas: np.ndarray) -> np.ndarray:
         raise DomainError(f"sampling ratio q must lie in (0, 1], got {q}")
     if not 0.0 < sigma < math.inf:
         raise DomainError(f"sigma must be positive and finite, got {sigma}")
-    if not (alphas.size and 2 <= alphas.min() and alphas.max() < math.inf and np.all(alphas == np.floor(alphas))):
-        raise DomainError(f"orders must be integers of at least 2, got {alphas}")
-    alphas = alphas.astype(np.int64)
+    if alpha_max < 2:
+        raise DomainError(f"the highest order must be at least 2, got {alpha_max}")
+    j = np.arange(2, alpha_max + 1)
     if q == 1.0:  # two unit-separated Gaussians: only the j = alpha term is left
-        return alphas * (alphas - 1.0) / (2.0 * sigma * sigma)
-    j = np.arange(2, int(alphas.max()) + 1)
+        return j * (j - 1.0) / (2.0 * sigma * sigma)
     n = j.size
-    log_fact = _log_factorials(int(j[-1]))
+    log_fact = _log_factorials(alpha_max)
     x = j * (j - 1.0) / (2.0 * sigma * sigma)
     log_col = j * math.log(q) - log_fact[j] + x + np.log(-np.expm1(-x))  # log(q^j (e^x - 1) / j!)
     # Both sequences run over k = alpha - j from n-1 down to -(n-1).
@@ -101,7 +98,7 @@ def _log_moments(q: float, sigma: float, alphas: np.ndarray) -> np.ndarray:
         np.exp(terms, out=terms, where=~dead)
         np.copyto(terms, 0.0, where=dead)
         out[rows] = np.logaddexp(0.0, peak[:, 0] + np.log(np.sum(terms, axis=1)))
-    return out[alphas - 2]
+    return out
 
 
 def subsampled_renyi_divergence(q: float, sigma: float, alpha: float) -> float:
@@ -109,7 +106,9 @@ def subsampled_renyi_divergence(q: float, sigma: float, alpha: float) -> float:
     subsampled Gaussian mechanism, for an integral order ``alpha >= 2``
     (``100`` or ``100.0``).  ``q = 1`` degenerates to two unit-separated
     Gaussians, for which the divergence is ``alpha / (2 sigma^2)``."""
-    return float(_log_moments(q, sigma, np.array([alpha]))[0]) / (alpha - 1.0)
+    if not (2 <= alpha < math.inf and alpha == math.floor(alpha)):
+        raise DomainError(f"order must be an integer of at least 2, got {alpha}")
+    return float(_log_moments(q, sigma, int(alpha))[-1]) / (alpha - 1.0)
 
 
 def divergence_changepoint(q: float, sigma: float, alpha_max: int = _ORDER_CAP) -> int:
@@ -123,7 +122,7 @@ def divergence_changepoint(q: float, sigma: float, alpha_max: int = _ORDER_CAP) 
     """
     gaussian_slope = 1.0 / (2.0 * sigma * sigma)
     alphas = np.arange(2, alpha_max + 1)
-    curve = _log_moments(q, sigma, alphas) / (alphas - 1.0)
+    curve = _log_moments(q, sigma, alpha_max) / (alphas - 1.0)
     takeoff = np.flatnonzero(np.diff(curve) > 0.5 * gaussian_slope)
     if takeoff.size:
         return int(alphas[takeoff[0] + 1])
@@ -136,43 +135,27 @@ def default_lambda_max(q: float, sigma: float) -> int:
     return min(int(math.ceil(rs_order_cap(q, sigma) - 1.0)), _ORDER_CAP)
 
 
-def moments_accountant_eps(
-    q: float,
-    sigma: float,
-    steps: int,
-    delta: float,
-    lambda_max: Optional[int] = None,
-) -> EpsDelta:
+def moments_accountant_eps(q: float, sigma: float, steps: int, delta: float) -> EpsDelta:
     """Tight numerical (eps, delta) for ``steps``-fold composition of the
     subsampled Gaussian mechanism, optimized over integer moment orders."""
     if steps < 0:
         raise DomainError(f"steps must be nonnegative, got {steps}")
-    return EpsDelta(float(moments_accountant_curve(q, sigma, steps, 1, delta, lambda_max)[0]), delta)
+    return EpsDelta(float(moments_accountant_curve(q, sigma, steps, 1, delta)[0]), delta)
 
 
-def moments_accountant_curve(
-    q: float,
-    sigma: float,
-    iters_per_epoch: int,
-    epochs: int,
-    delta: float,
-    lambda_max: Optional[int] = None,
-) -> np.ndarray:
+def moments_accountant_curve(q: float, sigma: float, iters_per_epoch: int, epochs: int, delta: float) -> np.ndarray:
     """Per-epoch accountant epsilons for a fixed-(q, sigma) run.
 
-    The per-step log moments ``lam * D_{lam+1}`` are computed once for the orders ``lam = 1..lambda_max`` and reused across
-    epochs.
+    The per-step log moments ``lam * D_{lam+1}`` are computed once for the
+    orders ``lam = 1..default_lambda_max(q, sigma)`` and reused across epochs.
     """
     if epochs < 0 or iters_per_epoch < 0:
         raise DomainError(f"epochs and iters_per_epoch must be nonnegative, got {epochs} and {iters_per_epoch}")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if lambda_max is None:
-        lambda_max = default_lambda_max(q, sigma)
-    if lambda_max < 1:
-        raise DomainError(f"lambda_max must be at least 1, got {lambda_max}")
+    lambda_max = default_lambda_max(q, sigma)
     lams = np.arange(1, lambda_max + 1)
-    moments = _log_moments(q, sigma, lams + 1)
+    moments = _log_moments(q, sigma, lambda_max + 1)
     steps = np.arange(1, epochs + 1) * iters_per_epoch
     log_inv_delta = math.log(1.0 / delta)
     out = np.empty(epochs)
@@ -246,11 +229,11 @@ def validate_moment_bound(
         raise DomainError(f"alpha_cap must be at least 2, got {alpha_cap}")
     report = BoundReport()
     for q, sigma in moment_bound_grid(sigmas, q_step=q_step, q_start=q_start):
-        u_alpha = min(rs_order_cap(q, sigma), float(alpha_cap))
-        alphas = np.arange(2, math.floor(u_alpha) + 1)
-        if not alphas.size:
+        alpha_max = math.floor(min(rs_order_cap(q, sigma), float(alpha_cap)))
+        if alpha_max < 2:
             continue
-        divergence = _log_moments(q, sigma, alphas) / (alphas - 1.0)
+        alphas = np.arange(2, alpha_max + 1)
+        divergence = _log_moments(q, sigma, alpha_max) / (alphas - 1.0)
         bound = q * q * alphas / (sigma * sigma)
         report.n_points += alphas.size
         report.worst_slack = min(report.worst_slack, float(np.min(bound - divergence)))

@@ -13,8 +13,9 @@ noise multiplier ``sigma_t``.  Five families are provided:
                   moving-average validation accuracy stops improving (handled
                   by :class:`ValidationController`, not by ``sigma_at``).
 
-``time`` and ``exp`` optionally apply the decay per period
-(``t -> floor(t / period)``) instead of per epoch.
+Given a ``period``, ``time`` and ``exp`` apply the decay per period
+(``t -> floor(t / period)``) instead of per epoch.  A schedule refuses the
+keys its kind does not read.
 """
 
 from __future__ import annotations
@@ -28,7 +29,15 @@ from .errors import ConfigError, InfeasibleTargetError, UsageError, check_config
 from .accounting import PrivacyLedger
 
 DECAY_KINDS = ("time", "exp", "step", "poly")
-KINDS = ("uniform",) + DECAY_KINDS + ("validation",)
+# Every kind, with the optional keys it reads; the others must be left unset.
+_KIND_KEYS = {
+    "uniform": (),
+    "time": ("k", "period"),
+    "exp": ("k", "period"),
+    "step": ("k", "period"),
+    "poly": ("k", "period", "sigma_end"),
+    "validation": ("k", "period", "delta_thresh", "m"),
+}
 
 
 @dataclass(frozen=True)
@@ -40,12 +49,15 @@ class NoiseSchedule:
     sigma_end: Optional[float] = None
     delta_thresh: Optional[float] = None
     m: Optional[int] = None
-    per_period: bool = False  # time/exp only: decay on floor(t/period)
 
     def __post_init__(self) -> None:
         check_config_fields(self)
-        if self.kind not in KINDS:
+        if self.kind not in _KIND_KEYS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
+        optional = [f.name for f in fields(self)[2:]]  # all but kind and sigma0
+        unread = [key for key in optional if getattr(self, key) is not None and key not in _KIND_KEYS[self.kind]]
+        if unread:
+            raise ConfigError(f"{self.kind} schedules do not read {unread}")
         if self.sigma0 <= 0.0:
             raise ConfigError(f"sigma0 must be positive, got {self.sigma0}")
         if self.kind == "uniform":
@@ -53,7 +65,7 @@ class NoiseSchedule:
         k_max = 1.0 if self.kind in ("step", "validation") else math.inf
         if self.k is None or not 0.0 < self.k < k_max:
             raise ConfigError(f"{self.kind} decay requires 0 < k < {k_max}, got {self.k}")
-        if (self.per_period or self.kind not in ("time", "exp")) and (self.period is None or self.period < 1):
+        if (self.period is not None or self.kind not in ("time", "exp")) and (self.period is None or self.period < 1):
             raise ConfigError(f"{self.kind} decay requires a positive period")
         if self.kind == "poly" and (self.sigma_end is None or not 0.0 < self.sigma_end < self.sigma0):
             raise ConfigError("poly decay requires 0 < sigma_end < sigma0")
@@ -64,10 +76,9 @@ class NoiseSchedule:
                 raise ConfigError("validation decay requires an improvement threshold")
 
     def to_dict(self) -> dict:
-        """The set fields in declaration order: no ``None`` values and no
-        false ``per_period``."""
+        """The set fields in declaration order: no ``None`` values."""
         values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return {key: value for key, value in values if value is not None and value is not False}
+        return {key: value for key, value in values if value is not None}
 
     @staticmethod
     def from_dict(d: dict) -> "NoiseSchedule":
@@ -78,12 +89,12 @@ def uniform(sigma0: float) -> NoiseSchedule:
     return NoiseSchedule("uniform", sigma0)
 
 
-def time_decay(sigma0: float, k: float, per_period: bool = False, period: Optional[int] = None) -> NoiseSchedule:
-    return NoiseSchedule("time", sigma0, k=k, per_period=per_period, period=period)
+def time_decay(sigma0: float, k: float, period: Optional[int] = None) -> NoiseSchedule:
+    return NoiseSchedule("time", sigma0, k=k, period=period)
 
 
-def exp_decay(sigma0: float, k: float, per_period: bool = False, period: Optional[int] = None) -> NoiseSchedule:
-    return NoiseSchedule("exp", sigma0, k=k, per_period=per_period, period=period)
+def exp_decay(sigma0: float, k: float, period: Optional[int] = None) -> NoiseSchedule:
+    return NoiseSchedule("exp", sigma0, k=k, period=period)
 
 
 def step_decay(sigma0: float, k: float, period: int) -> NoiseSchedule:
@@ -107,7 +118,7 @@ def sigma_at(schedule: NoiseSchedule, t: int) -> float:
     if schedule.kind == "uniform":
         return schedule.sigma0
     if schedule.kind in ("time", "exp"):
-        u = t // schedule.period if schedule.per_period else t
+        u = t if schedule.period is None else t // schedule.period
         if schedule.kind == "time":
             return schedule.sigma0 / (1.0 + schedule.k * u)
         return schedule.sigma0 * math.exp(-schedule.k * u)

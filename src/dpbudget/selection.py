@@ -10,17 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DomainError, UsageError
-
-
-class CandidateScore(NamedTuple):
-    candidate: int
-    z: int  # incorrect predictions on the held-out portion
 
 
 def _check_eps(eps: float) -> None:
@@ -63,7 +58,6 @@ def partition_indices(n: int, parts: int, rng: np.random.Generator) -> List[np.n
 @dataclass
 class TuneResult:
     selected: int
-    scores: List[CandidateScore]
     portion_sizes: List[int]
 
 
@@ -88,15 +82,13 @@ def partition_tune(
     rng = np.random.default_rng(seed)
     portions = partition_indices(len(dataset), n_candidates + 1, rng)
     holdout = dataset.subset(portions[-1])
-    scores: List[CandidateScore] = []
+    z_scores = []  # incorrect held-out predictions: private, only the draw is released
     for i in range(n_candidates):
         predictor = train_candidate(i, dataset.subset(portions[i]))
         predicted = np.asarray(predictor(holdout.features))
-        z = int(np.sum(predicted != holdout.labels))
-        scores.append(CandidateScore(i, z))
-    selected = exp_mechanism_select([s.z for s in scores], eps, rng)
+        z_scores.append(int(np.sum(predicted != holdout.labels)))
+    selected = exp_mechanism_select(z_scores, eps, rng)
     return TuneResult(
         selected=selected,
-        scores=scores,
         portion_sizes=[len(p) for p in portions],
     )

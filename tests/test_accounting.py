@@ -384,8 +384,9 @@ class TestRsChargeCoversExactRenyi:
                 continue
             admitted.append((q, sigma, releases))
         assume(admitted and ledger.u_alpha_min >= 2.0)  # some integer order to check
-        alphas = np.arange(2, min(math.floor(ledger.u_alpha_min), renyi._ORDER_CAP) + 1)
-        composed = sum(releases * renyi._log_moments(q, sigma, alphas) for q, sigma, releases in admitted)
+        alpha_max = min(math.floor(ledger.u_alpha_min), renyi._ORDER_CAP)
+        alphas = np.arange(2, alpha_max + 1)
+        composed = sum(releases * renyi._log_moments(q, sigma, alpha_max) for q, sigma, releases in admitted)
         assert np.all(composed <= (alphas - 1.0) * alphas * ledger.rho_hat)
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import dpbudget
-from dpbudget import __version__, accounting, cli, data, nn, renyi
+from dpbudget import __version__, accounting, cli, data, nn, renyi, schedules
 from dpbudget.dpsgd import TrainConfig
 from dpbudget.schedules import NoiseSchedule
 
@@ -81,6 +81,13 @@ class TestSolveKCommand:
         assert code == 0
         assert capsys.readouterr().out.strip() == "0.9560"
 
+    def test_period_selects_per_period_exp_decay(self, capsys):
+        code = run(["solve-k", "--kind", "exp", "--sigma0", "10", "--rho-total", "0.78125", "--target", "60", "--period", "10"])
+        assert code == 0
+        k = float(capsys.readouterr().out)
+        assert k == 0.1556  # decays once per 10 epochs, so about ten times the per-epoch 0.0138
+        assert schedules.epochs_until_exhaustion(schedules.exp_decay(10.0, k, period=10), 0.78125) == 60
+
     def test_infeasible_exit_code(self, capsys):
         code = run(["solve-k", "--kind", "exp", "--sigma0", "10", "--rho-total", "0.78125", "--target", "100000"])
         assert code == 3
@@ -146,6 +153,7 @@ class TestValidateBoundCommand:
         ["solve-k", "--kind", "exp", "--sigma0", "10", "--target", "60", "--rho-total", "0.78125", "--grid", "nan"],
         ["solve-k", "--kind", "step", "--sigma0", "10", "--target", "60", "--rho-total", "0.78125"],
         ["solve-k", "--kind", "poly", "--sigma0", "10", "--target", "60", "--rho-total", "0.78125", "--period", "100"],
+        ["solve-k", "--kind", "time", "--sigma0", "10", "--target", "60", "--rho-total", "0.78125", "--sigma-end", "2"],
     ],
 )
 def test_invalid_numeric_argument_exits_2(tmp_path, capsys, argv):
@@ -294,11 +302,15 @@ class TestTrainCommand:
             ("schedule", {"k": "0.01"}),
             ("train", {"max_epochs": 2.5}),
             ("train", {"lr": -1}),
-            ("train", {"batching": "rs", "q": 0.005, "eps_total": math.inf}),
+            ("train", {"batching": "rs", "q": 0.005, "eps_total": math.inf, "rho_total": None}),
             ("train", {"clip_norm": math.nan}),
             ("schedule", {"k": math.nan}),
             ("train", {"batch_size": 0}),
-            ("train", {"batching": "rs", "q": 0.005, "eps_total": 1.0, "iters_per_epoch": 0}),
+            ("train", {"batching": "rs", "q": 0.005, "eps_total": 1.0, "iters_per_epoch": 0, "rho_total": None}),
+            ("train", {"batching": "rs", "q": 0.005, "eps_total": 1.0, "rho_total": None, "batch_size": 50}),
+            ("train", {"q": 0.005}),
+            ("schedule", {"period": 10, "per_period": True}),
+            ("schedule", {"delta_thresh": 0.1}),
         ],
     )
     def test_invalid_value_exits_2(self, tmp_path, cancer_file, section, override):

@@ -618,3 +618,14 @@ class TestConfigValidation:
                 schedule=schedules.uniform(8.0), clip_norm=1.0, max_epochs=1, seed=0,
                 batching="rs", eps_total=1.0,
             )
+
+    @pytest.mark.parametrize(
+        "batching,key,value",
+        [("rf", "q", 0.01), ("rf", "iters_per_epoch", 100), ("rf", "eps_total", 1.0), ("rs", "batch_size", 50), ("rs", "rho_total", 3.0)],
+    )
+    def test_other_modes_keys_rejected(self, batching, key, value):
+        budget = {"rho_total": 3.0} if batching == "rf" else {"q": 0.01, "eps_total": 1.0}
+        common = {"schedule": schedules.uniform(8.0), "clip_norm": 1.0, "max_epochs": 1, "seed": 0, "batching": batching}
+        TrainConfig(**common, **budget)
+        with pytest.raises(ConfigError, match=rf"{batching} training does not read \['{key}'\]"):
+            TrainConfig(**common, **budget, **{key: value})

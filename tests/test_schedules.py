@@ -43,9 +43,11 @@ class TestSigmaAt:
         assert all(sigma_at(sched, t) == 8.0 for t in (0, 1, 57, 4000))
 
     def test_per_period_variant(self):
-        sched = exp_decay(10.0, 0.1, per_period=True, period=10)
+        sched = exp_decay(10.0, 0.1, period=10)
         assert sigma_at(sched, 9) == 10.0
         assert sigma_at(sched, 10) == pytest.approx(10.0 * math.exp(-0.1))
+        sched = time_decay(10.0, 0.5, period=4)
+        assert [sigma_at(sched, t) for t in (0, 3, 4, 11, 12)] == [10.0, 10.0, 10.0 / 1.5, 5.0, 4.0]
 
     @pytest.mark.parametrize(
         "sched",
@@ -94,10 +96,7 @@ class TestScheduleValidation:
             (uniform(8.0), {"kind": "uniform", "sigma0": 8.0}),
             (time_decay(10.0, 0.05), {"kind": "time", "sigma0": 10.0, "k": 0.05}),
             (exp_decay(10.0, 0.01), {"kind": "exp", "sigma0": 10.0, "k": 0.01}),
-            (
-                exp_decay(10.0, 0.1, per_period=True, period=10),
-                {"kind": "exp", "sigma0": 10.0, "k": 0.1, "period": 10, "per_period": True},
-            ),
+            (exp_decay(10.0, 0.1, period=10), {"kind": "exp", "sigma0": 10.0, "k": 0.1, "period": 10}),
             (step_decay(10.0, 0.6, 10), {"kind": "step", "sigma0": 10.0, "k": 0.6, "period": 10}),
             (poly_decay(10.0, 2.0, 3.0, 100), {"kind": "poly", "sigma0": 10.0, "k": 3.0, "period": 100, "sigma_end": 2.0}),
             (
@@ -114,6 +113,46 @@ class TestScheduleValidation:
         assert NoiseSchedule.from_dict(got) == sched
         with pytest.raises(ConfigError):
             NoiseSchedule.from_dict({"kind": "exp", "sigma0": 10.0, "k": 0.01, "bogus": 1})
+
+    def test_per_period_key_is_unknown(self):
+        with pytest.raises(ConfigError, match="unknown schedule keys"):
+            NoiseSchedule.from_dict({"kind": "exp", "sigma0": 10.0, "k": 0.1, "period": 10, "per_period": True})
+
+    @pytest.mark.parametrize("kind", ["time", "exp"])
+    @pytest.mark.parametrize("period", [0, -1])
+    def test_period_below_one_rejected(self, kind, period):
+        with pytest.raises(ConfigError):
+            NoiseSchedule(kind, 10.0, k=0.1, period=period)
+
+
+# The optional keys each kind reads, and those of them it requires.
+_READS = {
+    "uniform": ((), ()),
+    "time": (("k", "period"), ("k",)),
+    "exp": (("k", "period"), ("k",)),
+    "step": (("k", "period"), ("k", "period")),
+    "poly": (("k", "period", "sigma_end"), ("k", "period", "sigma_end")),
+    "validation": (("k", "period", "delta_thresh", "m"), ("k", "period", "delta_thresh", "m")),
+}
+# A value of each optional key that every kind reading it accepts.
+_VALID = {"k": 0.5, "period": 4, "sigma_end": 1.0, "delta_thresh": 0.1, "m": 2}
+
+
+class TestScheduleKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(list(_READS)), keys=st.sets(st.sampled_from(list(_VALID))))
+    @example(kind="uniform", keys={"k", "period"})
+    @example(kind="time", keys={"k", "delta_thresh"})
+    @example(kind="time", keys={"k", "sigma_end"})
+    @example(kind="exp", keys={"k", "period"})
+    def test_accepted_exactly_when_every_key_is_read_and_every_required_key_set(self, kind, keys):
+        reads, required = _READS[kind]
+        values = {key: _VALID[key] for key in keys}
+        if keys <= set(reads) and set(required) <= keys:
+            assert NoiseSchedule(kind, 4.0, **values).to_dict() == {"kind": kind, "sigma0": 4.0, **values}
+        else:
+            with pytest.raises(ConfigError):
+                NoiseSchedule(kind, 4.0, **values)
 
 
 class TestValidationController:
@@ -297,7 +336,7 @@ def _solver_settings(draw):
     kind = draw(st.sampled_from(["time", "exp", "step", "poly"]))
     sigma0 = draw(st.floats(2.0, 20.0))
     rho_total = draw(st.floats(0.2, 2.0))
-    period = draw(st.integers(1, 50)) if kind in ("step", "poly") else None
+    period = draw(st.integers(1, 50) if kind in ("step", "poly") else st.none() | st.integers(1, 50))
     sigma_end = sigma0 * draw(st.floats(0.05, 0.9)) if kind == "poly" else None
     return kind, sigma0, rho_total, period, sigma_end
 

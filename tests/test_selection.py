@@ -119,7 +119,6 @@ class TestPartitionTune:
         ds = data.synth_blobs(50, 2, 2, seed=1)
         result = selection.partition_tune(ds, 1, self.constant_trainer(0), eps=1.0, seed=3)
         assert result.selected == 0
-        assert len(result.scores) == 1
         assert len(result.portion_sizes) == 2
 
     def test_equal_scores_select_uniformly(self):
@@ -145,8 +144,7 @@ class TestPartitionTune:
             return lambda features: np.zeros(len(features), dtype=int)
 
         result = selection.partition_tune(ds, 2, trainer, eps=2.0, seed=6)
-        assert result.scores[1].z < result.scores[0].z
-        assert result.selected == 1  # overwhelmingly likely at eps=2 given the z gap
+        assert result.selected == 1  # overwhelmingly likely at eps=2 given the error gap
 
     def test_insufficient_data(self):
         ds = data.synth_blobs(3, 2, 2, seed=0)
