@@ -27,7 +27,7 @@ from .schedules import (
     solve_decay_rate,
 )
 from .nn import MlpModel
-from .data import Dataset, load_cancer_csv, rf_batches, rs_batch, synth_blobs
+from .data import Dataset, load_cancer_csv, rf_batches, rs_batches, synth_blobs
 from .dpsgd import TrainConfig, TrainReport, noisy_mean_gradient, train
 from .selection import exp_mechanism_select, partition_tune, selection_rho
 
@@ -53,7 +53,7 @@ __all__ = [
     "Dataset",
     "load_cancer_csv",
     "rf_batches",
-    "rs_batch",
+    "rs_batches",
     "synth_blobs",
     "TrainConfig",
     "TrainReport",

@@ -172,6 +172,13 @@ def rs_eps(rho_hat: float, u_alpha: float, delta: float) -> float:
     return rho_hat * u_alpha - math.log(delta) / (u_alpha - 1.0)
 
 
+def _check_admission(budget: float, releases: int) -> None:
+    if releases < 1:
+        raise DomainError(f"releases must be at least 1, got {releases}")
+    if not budget >= 0.0:
+        raise DomainError(f"budget must be nonnegative, got {budget}")
+
+
 @dataclass
 class PrivacyLedger:
     """Append-only record of privacy charges under one batching regime.
@@ -263,11 +270,38 @@ class PrivacyLedger:
         ``budget`` is an eps total at ``delta``.  The totals checked are the
         totals recorded.  Returns whether the charge was made.
         """
-        if releases < 1:
-            raise DomainError(f"releases must be at least 1, got {releases}")
-        if not budget >= 0.0:
-            raise DomainError(f"budget must be nonnegative, got {budget}")
+        _check_admission(budget, releases)
         return self._record(self._price(sigma, q, epoch, iteration), releases, budget, delta)
+
+    def admit_iterations(
+        self,
+        sigma: float,
+        budget: float,
+        delta: float,
+        q: float,
+        iterations: int,
+        releases: int = 1,
+        epoch: Optional[int] = None,
+    ) -> int:
+        """Charge up to ``iterations`` sampled iterations of one epoch,
+        numbered from 0, each of ``releases`` releases at ``(q, sigma)``; stop
+        before the first whose spend would exceed the eps ``budget`` at
+        ``delta``.  Returns how many were charged.
+
+        The iterations are priced once and recorded one by one, so the result
+        equals that of a loop of :meth:`admit` calls, one per iteration, that
+        stops at the first refusal: the same steps and totals.
+        """
+        if self.mode != "rs":
+            raise UsageError("admit_iterations requires an rs-mode ledger")
+        if iterations < 0:
+            raise DomainError(f"iterations must be nonnegative, got {iterations}")
+        _check_admission(budget, releases)
+        epoch, _, q, sigma, cost = self._price(sigma, q, epoch, 0)
+        admitted = 0
+        while admitted < iterations and self._record(LedgerStep(epoch, admitted, q, sigma, cost), releases, budget, delta):
+            admitted += 1
+        return admitted
 
     @property
     def total_rho(self) -> float:

@@ -110,8 +110,7 @@ class CancerData:
     path: str
 
     def __post_init__(self) -> None:
-        if type(self.path) is not str:
-            raise ConfigError(f"data.path must be a string, got {self.path!r}")
+        check_config_fields(self, "data")
 
     def load(self) -> data.Dataset:
         return data.load_cancer_csv(self.path)

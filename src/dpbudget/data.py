@@ -7,6 +7,7 @@ each example independently with probability q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -115,11 +116,30 @@ def rf_batches(n: int, batch_size: int, rng: np.random.Generator) -> List[np.nda
     return [perm[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def rs_batch(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
-    """Independently include each index with probability q."""
+def rs_batches(n: int, q: float, iters: int, rng: np.random.Generator) -> List[np.ndarray]:
+    """``iters`` sampled batches, each of which includes each index of 0..n-1
+    independently with probability q.
+
+    The iters * n inclusions are one Bernoulli(q) sequence, sampled exactly
+    through the geometric gaps between its successes: O(q n) draws a batch.
+    """
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must lie in (0, 1), got {q}")
-    return (rng.random(n) < q).nonzero()[0]
+    if n < 1 or iters < 0:
+        raise DomainError(f"need n >= 1 and iters >= 0, got n={n}, iters={iters}")
+    if iters == 0:
+        return []
+    total = n * iters
+    # Gaps are drawn in chunks that cover the expected count with a wide
+    # margin, until the last success reaches the final position.
+    chunk = int(q * total + 4.0 * math.sqrt(q * total)) + 16
+    chunks, last = [], -1
+    while last < total - 1:
+        chunks.append(last + np.cumsum(rng.geometric(q, chunk)))
+        last = chunks[-1][-1]
+    positions = np.concatenate(chunks)
+    positions = positions[: np.searchsorted(positions, total)]
+    return np.split(positions % n, np.searchsorted(positions, np.arange(n, total, n)))
 
 
 def synth_blobs(

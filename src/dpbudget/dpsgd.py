@@ -1,89 +1,171 @@
 """Differentially private SGD with budget-checked termination.
 
 The loop follows a strict charge-before-compute rule: an epoch (under
-reshuffling) or an iteration (under sampling) is admitted to the ledger
-before any of its gradients are computed, and training stops as soon as the
-next charge would overrun the budget.  Noise scales come from a
-:class:`~dpbudget.schedules.NoiseSchedule`, including the feedback-driven
-validation schedule.
+reshuffling) or an epoch's iterations (under sampling, as many as fit) are
+admitted to the ledger before any of their gradients are computed, and
+training stops as soon as the next charge would overrun the budget.  Noise
+scales come from a :class:`~dpbudget.schedules.NoiseSchedule`, including the
+feedback-driven validation schedule.  Every batch goes through one
+:class:`_TrainingStep`, built once per run, which owns the buffers of the
+clipped, noised sum and of the update.
 
 Randomness is a single seeded numpy PCG64 generator consumed in a fixed
-order (batching first, then noise, per step), so a (config, seed) pair
-reproduces its report bit for bit.
+order, so a (config, seed) pair reproduces its report bit for bit: each
+epoch draws its batches first (an rf permutation, or the admitted rs
+iterations' sampled batches in one call), then one noise vector per batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional
+from itertools import accumulate
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
 from . import nn
 from .accounting import EpsDelta, PrivacyLedger
-from .data import Dataset, rf_batches, rs_batch
+from .data import Dataset, rf_batches, rs_batches
 from .errors import ConfigError, DomainError, check_config_fields
 from .schedules import NoiseSchedule, ValidationController, sigma_at
 
 
 def _clip_factors(sq_norms: np.ndarray, clip_norm: float) -> np.ndarray:
-    """min(1, C / |g|) for each squared gradient norm |g|^2."""
-    return clip_norm / np.maximum(np.sqrt(sq_norms), clip_norm)
+    """min(1, C / |g|) for each squared gradient norm |g|^2, computed in
+    place of ``sq_norms``."""
+    np.sqrt(sq_norms, out=sq_norms)
+    np.maximum(sq_norms, clip_norm, out=sq_norms)
+    return np.divide(clip_norm, sq_norms, out=sq_norms)
 
 
-def _gaussian_noise(rng: np.random.Generator, sigma: float, clip_norm: float, size: int) -> np.ndarray:
-    """One draw of N(0, (sigma C)^2 I): the noise of one Gaussian release."""
-    if not 0.0 < clip_norm < math.inf:
-        raise DomainError(f"clip_norm must be positive and finite, got {clip_norm}")
-    if not 0.0 <= sigma < math.inf:
-        raise DomainError(f"sigma must be finite and nonnegative, got {sigma}")
-    # equal to rng.normal(0.0, sigma * clip_norm, size), without adding its zero mean
-    return rng.standard_normal(size) * (sigma * clip_norm)
+class _Batch(nn.Columns):
+    """:class:`nn.Columns` with room for one clipped, noised sum: the
+    per-layer squared norms of the inputs and of the signals go to
+    ``input_sq`` and ``signal_sq``, the clipped signals to the ``scaled``
+    scratch rows, and the sum to ``total``, one vector in ``model.params``
+    order whose block l is ``layer_inputs[l] @ scaled_blocks[l]``.  All but
+    ``total`` live in the first ``size(model, n)`` elements of ``buffer``."""
+
+    def __init__(self, model: nn.MlpModel, n: int, buffer: np.ndarray, total: np.ndarray):
+        super().__init__(model, n, buffer)
+        layers, start = len(model.blocks), self.stacked.size
+        self.input_sq, self.signal_sq = buffer[start : start + 2 * layers * n].reshape(2, layers, n)
+        self.scaled = self.scratch[: len(self.signals)]
+        self.total = total
+        offsets = accumulate([block.size for block in model.blocks], initial=0)
+        self.total_blocks = [total[lo : lo + block.size].reshape(block.shape) for lo, block in zip(offsets, model.blocks)]
+        d_lo = model.signal_starts
+        self.scaled_blocks = [self.scaled[lo:hi].T for lo, hi in zip(d_lo, d_lo[1:])]
+
+    @staticmethod
+    def size(model: nn.MlpModel, n: int) -> int:
+        return (nn.Columns.rows(model) + 2 * len(model.blocks)) * n
 
 
 def _noisy_clipped_sum(
-    inputs: Optional[np.ndarray],
-    signals: Optional[np.ndarray],
+    batch: Optional[_Batch],
     model: nn.MlpModel,
     clip_norm: float,
     sigma: float,
     per_layer: bool,
     rng: np.random.Generator,
+    noise: np.ndarray,
 ) -> np.ndarray:
     """N(0, (sigma C)^2 I) plus the sum over the batch of the clipped
     per-example gradients of ``model``'s layers, as one vector in
     ``model.params`` order.
 
-    ``inputs`` and ``signals`` hold the layers' augmented inputs ã = [a, 1]
-    and backprop signals d, as :func:`nn.backprop_signals` returns them.
-    Ghost clipping: the gradient of block [W; b] is outer(ã, d), so |g_l|^2
-    = |ã|^2 |d|^2, whose factors are segment sums of squares, and the
-    clipped sum is ã.T @ (d s); no per-example gradient is formed.  With no
-    inputs (an empty batch) the noise is released alone.
+    The noise is drawn into ``noise``.  ``batch`` holds the layers'
+    augmented inputs ã = [a, 1] and backprop signals d, as
+    :func:`nn.backward` leaves them, and receives the sum in ``batch.total``.
+    Ghost clipping: the gradient of block [W; b] is outer(ã, d), so |g_l|^2 =
+    |ã|^2 |d|^2, whose factors are segment sums of squares, and the clipped
+    sum is ã.T @ (d s); no per-example gradient is formed.  With no batch (an
+    empty one) the noise is released alone, and ``noise`` is returned.
     """
-    noise = _gaussian_noise(rng, sigma, clip_norm, model.n_params)
-    if inputs is None:
+    if not 0.0 < clip_norm < math.inf:
+        raise DomainError(f"clip_norm must be positive and finite, got {clip_norm}")
+    if not 0.0 <= sigma < math.inf:
+        raise DomainError(f"sigma must be finite and nonnegative, got {sigma}")
+    # equal to rng.normal(0.0, sigma * clip_norm, size), without adding its zero mean
+    rng.standard_normal(out=noise)
+    noise *= sigma * clip_norm
+    if batch is None:
         return noise
-    inputs_t, signals_t = inputs.T, signals.T
-    # One scratch array holds ã^2, then d^2, then d s, so that a large batch
-    # does not grow and shrink the heap on every step.
-    scratch = np.empty((max(len(inputs_t), len(signals_t)), len(inputs)))
-    sq_norms = np.dot(model.input_layers, np.multiply(inputs_t, inputs_t, out=scratch[: len(inputs_t)]))
-    scaled_t = np.multiply(signals_t, signals_t, out=scratch[: len(signals_t)])
-    sq_norms *= np.dot(model.signal_layers, scaled_t)
+    inputs_t, signals_t, scaled_t, sq_norms = batch.inputs, batch.signals, batch.scaled, batch.input_sq
+    # The scratch rows hold ã^2, then d^2, then d s.
+    np.dot(model.input_layers, np.multiply(inputs_t, inputs_t, out=batch.active), out=sq_norms)
+    sq_norms *= np.dot(model.signal_layers, np.multiply(signals_t, signals_t, out=scaled_t), out=batch.signal_sq)
     if per_layer:
         np.dot(model.signal_layers.T, _clip_factors(sq_norms, clip_norm), out=scaled_t)
         scaled_t *= signals_t
     else:
-        np.multiply(signals_t, _clip_factors(sq_norms.sum(axis=0), clip_norm), out=scaled_t)
-    total = np.empty_like(noise)
-    offset = a_lo = d_lo = 0
-    for w, o in (block.shape for block in model.blocks):
-        np.dot(inputs_t[a_lo : a_lo + w], scaled_t[d_lo : d_lo + o].T, out=total[offset : offset + w * o].reshape(w, o))
-        offset, a_lo, d_lo = offset + w * o, a_lo + w, d_lo + o
-    total += noise
-    return total
+        np.multiply(signals_t, _clip_factors(np.add.reduce(sq_norms, 0), clip_norm), out=scaled_t)
+    for a, ds, out in zip(batch.layer_inputs, batch.scaled_blocks, batch.total_blocks):
+        np.dot(a, ds, out=out)
+    batch.total += noise
+    return batch.total
+
+
+class _TrainingStep:
+    """Noisy clipped SGD steps of ``model`` on batches of one example set,
+    with every buffer allocated once.
+
+    The examples are held as columns [one-hot labels; features; 1], so one
+    ``np.take`` gathers a batch's targets and first-layer inputs into its
+    :class:`_Batch`, of which there is one per batch size.  The noise and the
+    sum are drawn into ``noise`` and ``total`` whatever the size.
+    """
+
+    def __init__(self, model: nn.MlpModel, features: np.ndarray, labels: np.ndarray, clip_norm: float, per_layer: bool):
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        labels = np.atleast_1d(labels)
+        nn._check_batch(model, features)
+        n_classes = model.blocks[-1].shape[1]
+        if len(labels) and not 0 <= labels.min() <= labels.max() < n_classes:
+            raise DomainError(f"labels must be class ids below the model's {n_classes} outputs")
+        self.examples = np.zeros((n_classes + features.shape[1] + 1, len(labels)))
+        self.examples[labels, np.arange(len(labels))] = 1.0
+        self.examples[n_classes:-1] = features.T
+        self.examples[-1] = 1.0
+        self.model, self.clip_norm, self.per_layer = model, clip_norm, per_layer
+        self.noise, self.total = np.empty(model.n_params), np.empty(model.n_params)
+        self.buffer = np.empty(0)
+        self.batches: Dict[int, _Batch] = {}
+        self.current: Optional[_Batch] = None
+
+    def _batch(self, n: int) -> _Batch:
+        """The workspace of an n-example batch.  Those of all sizes share one
+        buffer, sized for the largest batch so far, so memory stays that of
+        one batch however many sizes a sampled run meets."""
+        batch = self.batches.get(n)
+        if batch is None:
+            if _Batch.size(self.model, n) > len(self.buffer):
+                self.buffer = np.empty(_Batch.size(self.model, n))
+                self.batches.clear()
+            batch = self.batches[n] = _Batch(self.model, n, self.buffer, self.total)
+        elif batch is not self.current:
+            batch.fill_ones()
+        self.current = batch
+        return batch
+
+    def noisy_clipped_sum(self, indices: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
+        """The release on the examples ``indices``, in a buffer of this step."""
+        batch = None
+        if len(indices):
+            batch = self._batch(len(indices))
+            self.examples.take(indices, 1, batch.stacked[: len(self.examples)], "clip")
+            nn.backward(batch)
+        return _noisy_clipped_sum(batch, self.model, self.clip_norm, sigma, self.per_layer, rng, self.noise)
+
+    def __call__(self, indices: np.ndarray, sigma: float, lr: float, lot_size: float, rng: np.random.Generator) -> None:
+        """One release on ``indices``, divided by ``lot_size``, applied as one
+        in-place step on the flat parameters: ``params -= lr * (total / lot_size)``."""
+        update = self.noisy_clipped_sum(indices, sigma, rng)
+        np.divide(update, lot_size, out=update)
+        update *= lr
+        self.model.params -= update
 
 
 def noisy_mean_gradient(
@@ -105,7 +187,9 @@ def noisy_mean_gradient(
         raise DomainError(f"batch_size must be positive, got {batch_size}")
     n, p = per_example.shape
     bias_only = nn.MlpModel([np.empty((0, p))], [np.empty(p)])
-    return _noisy_clipped_sum(np.ones((n, 1)), per_example, bias_only, clip_norm, sigma, False, rng) / batch_size
+    batch = _Batch(bias_only, n, np.empty(_Batch.size(bias_only, n)), np.empty(p))
+    batch.signals[...] = per_example.T
+    return _noisy_clipped_sum(batch, bias_only, clip_norm, sigma, False, rng, np.empty(p)) / batch_size
 
 
 def noisy_clipped_sum(
@@ -123,8 +207,8 @@ def noisy_clipped_sum(
     Each example's gradient is clipped to norm C as a whole, or layer by
     layer when ``per_layer``.  An empty batch releases the noise alone.
     """
-    inputs, signals = nn.backprop_signals(model, x, labels) if len(x) else (None, None)
-    return _noisy_clipped_sum(inputs, signals, model, clip_norm, sigma, per_layer, rng)
+    step = _TrainingStep(model, x, labels, clip_norm, per_layer)
+    return step.noisy_clipped_sum(np.arange(step.examples.shape[1]), sigma, rng)
 
 
 @dataclass(frozen=True)
@@ -187,24 +271,6 @@ class TrainReport:
     ledger: PrivacyLedger = field(repr=False, default=None)
 
 
-def _noisy_update(
-    model: nn.MlpModel,
-    batch: Dataset,
-    indices: np.ndarray,
-    sigma: float,
-    lr: float,
-    config: TrainConfig,
-    rng: np.random.Generator,
-    lot_size: float,
-) -> None:
-    """One release on ``batch[indices]``, divided by ``lot_size``, applied as
-    one in-place step on the flat parameters."""
-    total = noisy_clipped_sum(
-        model, batch.features[indices], batch.labels[indices], config.clip_norm, sigma, config.per_layer_clip, rng
-    )
-    model.params -= lr * (total / lot_size)
-
-
 def train(
     config: TrainConfig,
     train_data: Dataset,
@@ -223,6 +289,11 @@ def train(
         if validation_data is None:
             raise ConfigError("the validation schedule requires validation data")
         controller = ValidationController(config.schedule)
+
+    step = _TrainingStep(model, train_data.features, train_data.labels, config.clip_norm, config.per_layer_clip)
+    # rs divides by the expected lot size q n, not the sampled batch size, so
+    # that the update's scale does not depend on the data.
+    lot_size = None if config.q is None else config.q * n
 
     ledger = PrivacyLedger(config.batching)
     records: List[EpochRecord] = []
@@ -252,21 +323,16 @@ def train(
                 stop_reason = "budget_exhausted"
                 break
             for indices in rf_batches(n, n if config.batch_size is None else config.batch_size, rng):
-                _noisy_update(model, train_data, indices, sigma, config.lr, config, rng, len(indices))
+                step(indices, sigma, config.lr, len(indices), rng)
         else:
-            # Dividing by the expected lot size q n, not the sampled batch
-            # size, keeps the update's scale independent of the data.
-            lot_size = config.q * n
             iters = round(1.0 / config.q) if config.iters_per_epoch is None else config.iters_per_epoch
-            for it in range(iters):
-                if not ledger.admit(
-                    sigma, config.eps_total, config.delta, q=config.q, releases=releases, epoch=epoch, iteration=it
-                ):
-                    stop_reason = "budget_exhausted"
-                    break
-                indices = rs_batch(n, config.q, rng)
-                _noisy_update(model, train_data, indices, sigma, config.lr, config, rng, lot_size)
-            if stop_reason == "budget_exhausted":
+            admitted = ledger.admit_iterations(
+                sigma, config.eps_total, config.delta, config.q, iters, releases=releases, epoch=epoch
+            )
+            for indices in rs_batches(n, config.q, admitted, rng):
+                step(indices, sigma, config.lr, lot_size, rng)
+            if admitted < iters:
+                stop_reason = "budget_exhausted"
                 break
 
         snapshot(epoch, sigma)

@@ -31,13 +31,16 @@ class ConfigError(ValueError):
 
 def check_config_fields(config, section: str = "") -> None:
     """Raise :class:`ConfigError` unless every field of the dataclass
-    ``config`` annotated ``int``, ``float`` or ``bool`` holds a value of that
-    type: a finite nonnegative number (an integer for ``int``) or a boolean.
-    ``None`` is accepted only where the annotation is ``Optional``.  The
-    message names the field as ``section.field`` if ``section`` is given."""
+    ``config`` annotated ``int``, ``float``, ``bool`` or ``str`` holds a
+    value of that type: a finite nonnegative number (an integer for
+    ``int``), a boolean or a string.  ``None`` is accepted only where the
+    annotation is ``Optional``.  The message names the field as
+    ``section.field`` if ``section`` is given."""
     for f in dataclasses.fields(config):
         optional = f.type.startswith("Optional[")
-        kind = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}.get(f.type.removeprefix("Optional[").rstrip("]"))
+        kind = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}.get(
+            f.type.removeprefix("Optional[").rstrip("]")
+        )
         value = getattr(config, f.name)
         if kind is None or (optional and value is None):
             continue
@@ -45,6 +48,9 @@ def check_config_fields(config, section: str = "") -> None:
         if kind is bool:
             if not isinstance(value, bool):
                 raise ConfigError(f"{name} must be true or false, got {value!r}")
+        elif kind is str:
+            if not isinstance(value, str):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
         elif isinstance(value, bool) or not isinstance(value, kind) or not 0 <= value < math.inf:
             noun = "integer" if kind is numbers.Integral else "number"
             raise ConfigError(f"{name} must be a finite nonnegative {noun}, got {value!r}")

@@ -6,16 +6,19 @@ flat vector, in checkpoint order (W0, b0, W1, b1, ...), so an update is one
 vector operation.  Layer l's W_l followed by b_l is the row-major
 (fan_in+1, fan_out) block [W_l; b_l], and every pass runs on those blocks:
 a layer is one product of its ones-augmented inputs [a, 1] with its block.
-Batched backpropagation yields each layer's augmented inputs and backprop
-signals for every example (no loops over examples), which is what the
-gradient-clipping step of DP-SGD needs.
+Batched backpropagation on a batch held as columns (a :class:`Columns`
+workspace) yields each layer's augmented inputs and backprop signals for
+every example (no loops over examples), which is what the gradient-clipping
+step of DP-SGD needs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from itertools import accumulate
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +60,9 @@ class MlpModel:
         eye = np.eye(len(self.blocks))
         self.input_layers = np.repeat(eye, [len(block) for block in self.blocks], axis=1)
         self.signal_layers = np.repeat(eye, [block.shape[1] for block in self.blocks], axis=1)
+        # the first of those columns of each layer, and their number last
+        self.input_starts = list(accumulate([len(block) for block in self.blocks], initial=0))
+        self.signal_starts = list(accumulate([block.shape[1] for block in self.blocks], initial=0))
 
     @classmethod
     def init(cls, layer_sizes: Sequence[int], seed: int) -> "MlpModel":
@@ -80,25 +86,80 @@ class MlpModel:
         return self.params.size
 
 
-def _forward(model: MlpModel, x: np.ndarray, inputs_t: np.ndarray) -> np.ndarray:
-    """Forward pass with the examples as columns; returns the (n_classes, n)
-    logits.
+class Columns:
+    """A batch of ``n`` examples held as columns, with room for one forward
+    and backward pass of ``model``.
 
-    ``inputs_t`` receives, stacked in layer order, each layer's transposed
-    augmented inputs [a_l, 1]: it has ``model.input_layers.shape[1]`` (the
-    sum of fan_in+1) rows and one column per example.  Layer l's outputs are
-    ``blocks[l].T`` times its rows.
+    One (rows, n) array ``stacked`` holds, as row blocks: ``targets``, the
+    one-hot labels; ``inputs``, every layer's augmented inputs [a_l; 1] in
+    layer order, whose ones rows are written here; ``signals``, every
+    layer's backprop signals d_l in layer order, the last of them the
+    ``logits`` rows; and ``scratch``, as many rows as the larger of inputs
+    and signals, whose first rows, ``active``, a backward pass fills with
+    ReLU'(z).  The first ``n_classes + fan_in + 1`` rows are the batch's
+    [one-hot labels; features; 1], which is all a pass reads.  The views
+    that the passes use, among them each layer's ``layer_inputs``, are made
+    once, so a workspace kept for many batches costs no slicing per pass.
+    ``stacked`` is the first ``rows(model) * n`` elements of ``buffer``, a
+    flat float64 array, if one is given, so that workspaces for several
+    batch sizes can share one allocation.
     """
-    inputs_t[: x.shape[1]] = x.T
-    lo = 0
-    for block in model.blocks[:-1]:
-        hi = lo + len(block)
-        inputs_t[hi - 1] = 1.0
-        z = np.dot(block.T, inputs_t[lo:hi], out=inputs_t[hi : hi + block.shape[1]])
+
+    def __init__(self, model: MlpModel, n: int, buffer: Optional[np.ndarray] = None):
+        a_lo, d_lo = model.input_starts, model.signal_starts
+        n_classes, n_inputs, n_signals = d_lo[-1] - d_lo[-2], a_lo[-1], d_lo[-1]
+        rows = Columns.rows(model)
+        self.model = model
+        self.stacked = np.empty((rows, n)) if buffer is None else buffer[: rows * n].reshape(rows, n)
+        self.targets = self.stacked[:n_classes]
+        self.inputs = self.stacked[n_classes : n_classes + n_inputs]
+        self.signals = self.stacked[n_classes + n_inputs : n_classes + n_inputs + n_signals]
+        self.scratch = self.stacked[n_classes + n_inputs + n_signals :]
+        self.active = self.scratch[:n_inputs]
+        self.logits = self.signals[d_lo[-2] :]
+        # each layer's augmented inputs [a_l; 1]
+        self.layer_inputs = [self.inputs[lo:hi] for lo, hi in zip(a_lo, a_lo[1:])]
+        self.ones = [a[-1] for a in self.layer_inputs]
+        self.fill_ones()
+        top = len(model.blocks) - 1
+        # forward: (block^T, the layer's inputs, its outputs: the next layer's a)
+        self.hidden = [(model.blocks[l].T, self.layer_inputs[l], self.layer_inputs[l + 1][:-1]) for l in range(top)]
+        self.output = (model.blocks[top].T, self.layer_inputs[top])
+
+    @cached_property
+    def backprop(self) -> List[Tuple[np.ndarray, ...]]:
+        """The views of the backward pass, made on its first use: from the
+        top, (W_l, d_l, d_{l-1}, the rows of ``active`` that gate d_{l-1}),
+        as d_{l-1} = (W_l d_l) * ReLU'(z), the sign of a_l."""
+        a_lo, d_lo, weights = self.model.input_starts, self.model.signal_starts, self.model.weights
+        return [
+            (weights[l], self.signals[d_lo[l] : d_lo[l + 1]], self.signals[d_lo[l - 1] : d_lo[l]], self.active[a_lo[l] : a_lo[l + 1] - 1])
+            for l in range(len(weights) - 1, 0, -1)
+        ]
+
+    @staticmethod
+    def rows(model: MlpModel) -> int:
+        """The number of rows of ``stacked`` for ``model``."""
+        n_inputs, n_signals = model.input_starts[-1], model.signal_starts[-1]
+        return n_signals - model.signal_starts[-2] + n_inputs + n_signals + max(n_inputs, n_signals)
+
+    def fill_ones(self) -> None:
+        """Write the constant 1 of every layer's [a_l; 1].  The passes never
+        overwrite it, so this is needed again only after another workspace
+        sharing the buffer has been used."""
+        for row in self.ones:
+            row.fill(1.0)
+
+
+def _forward(cols: Columns) -> np.ndarray:
+    """Forward pass of the batch in ``cols``: fills every hidden layer's
+    input rows and returns the (n_classes, n) ``cols.logits``.  Layer l's
+    outputs are ``blocks[l].T`` times its augmented inputs."""
+    for block_t, a, z in cols.hidden:
+        np.dot(block_t, a, out=z)
         np.maximum(z, 0.0, out=z)
-        lo = hi
-    inputs_t[-1] = 1.0
-    return np.dot(model.blocks[-1].T, inputs_t[lo:])
+    block_t, a = cols.output
+    return np.dot(block_t, a, out=cols.logits)
 
 
 def _check_batch(model: MlpModel, x: np.ndarray) -> None:
@@ -108,21 +169,34 @@ def _check_batch(model: MlpModel, x: np.ndarray) -> None:
         )
 
 
+def _load(model: MlpModel, x: np.ndarray) -> Columns:
+    """``x`` (rows = examples) as the first-layer inputs of new columns."""
+    _check_batch(model, x)
+    cols = Columns(model, len(x))
+    cols.inputs[: x.shape[1]] = x.T
+    return cols
+
+
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Logits for a single feature vector or a batch (rows = examples)."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    _check_batch(model, x)
-    logits = _forward(model, x, np.empty((model.input_layers.shape[1], len(x)))).T
+    logits = _forward(_load(model, x)).T
     return logits[0] if single else logits
 
 
+def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax of ``z`` along ``axis``, computed in place."""
+    np.subtract(z, np.maximum.reduce(z, axis, keepdims=True), out=z)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis, keepdims=True)
+    return z
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax(np.array(logits, dtype=np.float64), -1)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -142,6 +216,22 @@ def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(predict(model, x) == labels))
 
 
+def backward(cols: Columns) -> None:
+    """Forward and backward pass of the batch in ``cols``, from its targets
+    and first-layer inputs: fills the rest of ``cols.inputs`` and all of
+    ``cols.signals``, and leaves ReLU'(z) (0 at z = 0) in ``cols.active``.
+    Example i's loss gradient for the block [W_l; b_l] is the outer product
+    of its augmented inputs [a_l, 1] and its signals d_l.
+    """
+    delta = _softmax(_forward(cols), 0)
+    delta -= cols.targets
+    # ReLU'(z) as 0.0 or 1.0: the sign of the ReLU outputs
+    np.sign(cols.inputs, out=cols.active)
+    for weights, above, below, active in cols.backprop:
+        np.dot(weights, above, out=below)
+        below *= active
+
+
 def backprop_signals(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Every layer's augmented inputs and backprop signals for a batch.
 
@@ -156,27 +246,11 @@ def backprop_signals(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> Tupl
     labels = np.atleast_1d(labels)
     if len(x) == 0:
         raise DomainError("backprop signals require a nonempty batch")
-    _check_batch(model, x)
-    # One array holds both results, so a large batch makes one allocation.
-    n_inputs = model.input_layers.shape[1]
-    stacked = np.empty((n_inputs + model.signal_layers.shape[1], len(x)))
-    inputs_t, signals_t = stacked[:n_inputs], stacked[n_inputs:]
-    logits_t = _forward(model, x, inputs_t)
-    lo = len(signals_t) - len(logits_t)
-    delta = signals_t[lo:]
-    delta[...] = softmax(logits_t.T).T
-    delta[labels, np.arange(len(x))] -= 1.0
-    # ReLU'(z) as 0.0 or 1.0, taken as 0 at z = 0: the sign of the ReLU outputs
-    active = np.sign(inputs_t)
-    top = len(inputs_t)
-    for block in model.blocks[:0:-1]:
-        top -= len(block)
-        fan_in = len(block) - 1
-        below = signals_t[lo - fan_in : lo]
-        np.dot(block[:-1], delta, out=below)
-        below *= active[top : top + fan_in]
-        delta, lo = below, lo - fan_in
-    return inputs_t.T, signals_t.T
+    cols = _load(model, x)
+    cols.targets.fill(0.0)
+    cols.targets[labels, np.arange(len(x))] = 1.0
+    backward(cols)
+    return cols.inputs.T, cols.signals.T
 
 
 def per_example_gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> List[np.ndarray]:

@@ -47,9 +47,21 @@ def _blocks(n_rows: int, row_len: int) -> List[slice]:
     return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
 
 
+# log(k!) for k = 0, 1, ..., built on first use and extended when a larger
+# k is asked for; each entry is math.lgamma(k + 1), whatever the table's size.
+_log_factorial_table = np.zeros(1)
+
+
 def _log_factorials(n: int) -> np.ndarray:
-    """``log(k!)`` for k = 0..n."""
-    return np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+    """``log(k!)`` for k = 0..n, as a read-only view of one table per process."""
+    global _log_factorial_table
+    have = len(_log_factorial_table)
+    if n >= have:
+        size = max(n + 1, 2 * have)
+        grown = np.fromiter(map(math.lgamma, range(have + 1, size + 1)), float, size - have)
+        _log_factorial_table = np.concatenate([_log_factorial_table, grown])
+        _log_factorial_table.flags.writeable = False
+    return _log_factorial_table[: n + 1]
 
 
 def _toeplitz_rows(seq: np.ndarray, rows: slice) -> np.ndarray:

@@ -218,14 +218,16 @@ def solve_decay_rate(
         return epochs_until_exhaustion(sched, rho_total)
 
     # Search ranges: step factors must stay below 1 by definition; time/exp
-    # rates are searched up to 1.0 (already exhausting any practical budget
-    # within a few epochs); poly powers reach the single digits, so cap at 16.
+    # rates are searched up to 1.0 per decay (already exhausting any
+    # practical budget within a few decays), that is up to ``period`` when
+    # the decay runs per period; poly powers reach the single digits, so cap
+    # at 16.
     if kind == "poly":
         hi_index = int(round(16.0 / grid))
     elif kind == "step":
         hi_index = int(round(1.0 / grid)) - 1
     else:
-        hi_index = int(round(1.0 / grid))
+        hi_index = int(round((1.0 if period is None else period) / grid))
     sign = 1 if kind == "step" else -1  # step: slower decay (larger k) -> more epochs
     index = 1 + bisect.bisect_left(range(1, hi_index), sign * target_epochs, key=lambda i: sign * horizon(i))
     reached = horizon(index)

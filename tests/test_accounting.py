@@ -354,6 +354,67 @@ class TestLedgerInvariants:
 
 
 @st.composite
+def _rs_epochs(draw):
+    """Epochs offered to an rs ledger as (sigma, q, iterations, releases),
+    and an eps budget that is, to within a few ulps, the spend after one of
+    the offered iterations, so that refusals fall on the boundary."""
+    epochs = []
+    for _ in range(draw(st.integers(1, 4))):
+        sigma = draw(st.floats(2.0, 12.0))
+        q = draw(st.floats(0.05, 1.0)) / (16.0 * sigma)
+        epochs.append((sigma, q, draw(st.integers(0, 60)), draw(st.integers(1, 3))))
+    unlimited, spends = PrivacyLedger("rs"), []
+    for sigma, q, iterations, releases in epochs:
+        for _ in range(iterations):
+            unlimited.admit(sigma, math.inf, DELTA, q=q, releases=releases)
+            spends.append(unlimited.to_dp(DELTA).eps)
+    budget = draw(st.sampled_from(spends)) if spends else draw(st.floats(0.0, 1.0))
+    ulps = draw(st.integers(-3, 3))
+    for _ in range(abs(ulps)):
+        budget = math.nextafter(budget, math.copysign(math.inf, ulps))
+    return epochs, max(budget, 0.0)
+
+
+class TestAdmitIterations:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_rs_epochs())
+    def test_equals_a_loop_of_admits(self, case):
+        epochs, budget = case
+        batched, looped = PrivacyLedger("rs"), PrivacyLedger("rs")
+        for epoch, (sigma, q, iterations, releases) in enumerate(epochs):
+            admitted = batched.admit_iterations(sigma, budget, DELTA, q, iterations, releases=releases, epoch=epoch)
+            stop = 0
+            while stop < iterations and looped.admit(sigma, budget, DELTA, q=q, releases=releases, epoch=epoch, iteration=stop):
+                stop += 1
+            assert admitted == stop
+            assert _state(batched) == _state(looped)
+            assert _state(batched.replay()) == _state(batched)
+
+    def test_records_each_iteration_and_release(self):
+        ledger = PrivacyLedger("rs")
+        assert ledger.admit_iterations(6.0, 1.0, 1e-5, 0.01, 3, releases=2, epoch=5) == 3
+        cost = 0.01 ** 2 / 36.0
+        assert ledger.steps == [accounting.LedgerStep(5, it, 0.01, 6.0, cost) for it in range(3) for _ in range(2)]
+
+    def test_zero_iterations_change_nothing(self):
+        ledger = PrivacyLedger("rs")
+        assert ledger.admit_iterations(6.0, 1.0, 1e-5, 0.01, 0) == 0
+        assert _state(ledger) == _state(PrivacyLedger("rs"))
+
+    def test_validates(self):
+        with pytest.raises(UsageError):
+            PrivacyLedger("rf").admit_iterations(6.0, 1.0, 1e-5, 0.01, 3)
+        with pytest.raises(DomainError):
+            PrivacyLedger("rs").admit_iterations(6.0, 1.0, 1e-5, 0.01, -1)
+        with pytest.raises(DomainError):
+            PrivacyLedger("rs").admit_iterations(6.0, 1.0, 1e-5, 0.01, 3, releases=0)
+        with pytest.raises(DomainError):
+            PrivacyLedger("rs").admit_iterations(6.0, float("nan"), 1e-5, 0.01, 3)
+        with pytest.raises(PreconditionError):
+            PrivacyLedger("rs").admit_iterations(1.5, 1.0, 1e-5, 0.01, 3)  # below RS_SIGMA_MIN
+
+
+@st.composite
 def _rs_offers(draw):
     """(q, sigma, releases) offered to an rs ledger one after another: sigma
     from 0.5 to 30, below the floor too, and q up to the ratio bound

@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dpbudget
 from dpbudget import __version__, accounting, cli, data, nn, renyi, schedules
@@ -389,6 +389,8 @@ class TestInvalidTrainConfigs:
         value=INVALID_VALUES,
         batching=st.sampled_from(["rf", "rs"]),
     )
+    # a non-string schedule kind once escaped as a TypeError from the kind lookup
+    @example(section_key=("schedule", ("kind", "str")), value=[1.0], batching="rf")
     def test_invalid_value_exits_2(self, tmp_path_factory, section_key, value, batching):
         section, (key, annotation) = section_key
         # None is a valid Optional value, and a boolean a valid bool one

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -91,34 +93,75 @@ class TestRfBatches:
         assert not all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
-class TestRsBatch:
-    def test_mean_size(self):
-        rng = np.random.default_rng(4)
-        sizes = [len(data.rs_batch(60000, 0.01, rng)) for _ in range(1000)]
-        mean = np.mean(sizes)
-        se = np.sqrt(60000 * 0.01 * 0.99 / 1000)
-        assert abs(mean - 600.0) <= 3 * se
+def hits(n, q, iters, seed):
+    """(iters, n) 0/1 matrix: row t marks the indices of sampled batch t."""
+    out = np.zeros((iters, n))
+    for t, batch in enumerate(data.rs_batches(n, q, iters, np.random.default_rng(seed))):
+        out[t, batch] = 1.0
+    return out
 
-    def test_tiny_q_mostly_empty(self):
-        rng = np.random.default_rng(5)
-        sizes = [len(data.rs_batch(50, 1e-6, rng)) for _ in range(200)]
-        assert np.mean(sizes) < 0.01
+
+class TestRsBatches:
+    def test_sorted_distinct_indices(self):
+        batches = data.rs_batches(30, 0.4, 50, np.random.default_rng(1))
+        assert len(batches) == 50
+        for batch in batches:
+            assert batch.dtype.kind == "i"
+            assert np.all(np.diff(batch) > 0) and (len(batch) == 0 or 0 <= batch[0] <= batch[-1] < 30)
+
+    def test_sizes_are_binomial(self):
+        n, q, iters = 500, 0.03, 4000
+        sizes = np.array([len(b) for b in data.rs_batches(n, q, iters, np.random.default_rng(4))])
+        mean, var = n * q, n * q * (1 - q)
+        assert abs(sizes.mean() - mean) <= 4 * math.sqrt(var / iters)
+        # the sample variance of iters draws has standard error about var sqrt(2 / iters)
+        assert abs(sizes.var(ddof=1) - var) <= 4 * var * math.sqrt(2.0 / iters)
+
+    def test_each_position_included_with_probability_q(self):
+        # every (iteration, index) cell of many short epochs, the first and
+        # last positions and those at batch boundaries among them, where an
+        # off-by-one in the gaps would show
+        n, q, iters, calls = 6, 0.3, 3, 4000
+        rng = np.random.default_rng(7)
+        counts = np.zeros((iters, n))
+        for _ in range(calls):
+            for t, batch in enumerate(data.rs_batches(n, q, iters, rng)):
+                counts[t, batch] += 1
+        z = (counts - calls * q) / math.sqrt(calls * q * (1 - q))
+        assert np.max(np.abs(z)) < 4.5
 
     def test_pairwise_inclusion_independence(self):
-        rng = np.random.default_rng(6)
-        n, q, draws = 40, 0.3, 4000
-        hits = np.zeros((draws, n))
-        for i in range(draws):
-            hits[i, data.rs_batch(n, q, rng)] = 1.0
-        centered = hits - hits.mean(axis=0)
-        cov = centered.T @ centered / draws
+        n, q, iters = 40, 0.3, 4000
+        h = hits(n, q, iters, seed=6)
+        centered = h - h.mean(axis=0)
+        cov = centered.T @ centered / iters
         off_diag = cov[~np.eye(n, dtype=bool)]
-        se = q * (1 - q) / np.sqrt(draws)
-        assert np.max(np.abs(off_diag)) < 4 * se
+        se = q * (1 - q) / np.sqrt(iters)
+        assert np.max(np.abs(off_diag)) < 4.5 * se
 
-    def test_domain(self):
+    def test_consecutive_iterations_independent(self):
+        n, q, iters = 30, 0.3, 8000
+        h = hits(n, q, iters, seed=8)
+        centered = h - h.mean(axis=0)
+        cov = centered[:-1].T @ centered[1:] / (iters - 1)  # batch t against batch t+1
+        se = q * (1 - q) / np.sqrt(iters)
+        assert np.max(np.abs(cov)) < 4.5 * se
+        sizes = h.sum(axis=1)
+        assert abs(np.corrcoef(sizes[:-1], sizes[1:])[0, 1]) < 4.5 / math.sqrt(iters)
+
+    def test_tiny_q_mostly_empty(self):
+        sizes = [len(b) for b in data.rs_batches(50, 1e-6, 200, np.random.default_rng(5))]
+        assert np.mean(sizes) < 0.01
+
+    def test_no_iterations_draw_nothing(self):
+        rng = np.random.default_rng(9)
+        assert data.rs_batches(10, 0.5, 0, rng) == []
+        assert rng.random() == np.random.default_rng(9).random()
+
+    @pytest.mark.parametrize("n,q,iters", [(10, 0.0, 1), (10, 1.0, 1), (10, math.nan, 1), (0, 0.5, 1), (10, 0.5, -1)])
+    def test_domain(self, n, q, iters):
         with pytest.raises(DomainError):
-            data.rs_batch(10, 0.0, np.random.default_rng(0))
+            data.rs_batches(n, q, iters, np.random.default_rng(0))
 
 
 class TestSynthBlobs:

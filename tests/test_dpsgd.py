@@ -399,9 +399,9 @@ class TestTrainRs:
         )
         model = nn.MlpModel.init([2, 4, 2], seed=0)
         before = flat_params(model)
-        # replay the trainer's generator: the batch is drawn first, then the noise
+        # replay the trainer's generator: the epoch's batches are drawn first, then the noise
         rng = np.random.default_rng(seed)
-        assert len(data.rs_batch(len(ds), q, rng)) == 0
+        assert [len(batch) for batch in data.rs_batches(len(ds), q, 1, rng)] == [0]
         noise = rng.normal(0.0, sigma * config.clip_norm, size=model.n_params)
         train(config, ds, model)
         np.testing.assert_allclose(flat_params(model), before - lr * noise / (q * len(ds)), rtol=1e-14, atol=0)
@@ -546,13 +546,12 @@ class TestLedgerAgainstExactGaussianComposition:
         assert gaussian_delta(report.final_privacy.eps, mu) <= config.delta
 
 
-def per_example_update(model, batch, indices, sigma, lr, config, rng, lot_size):
+def per_example_update(model, x, labels, sigma, lr, clip_norm, per_layer, rng, lot_size):
     """The trainer's update as it was before ghost clipping: noise first, then
     the per-example gradient matrix clipped row by row, then one SGD step."""
-    total = rng.normal(0.0, sigma * config.clip_norm, size=model.n_params)
-    if len(indices):
-        x, labels = batch.features[indices], batch.labels[indices]
-        total += oracle_clipped_sum(model, x, labels, config.clip_norm, config.per_layer_clip)
+    total = rng.normal(0.0, sigma * clip_norm, size=model.n_params)
+    if len(x):
+        total += oracle_clipped_sum(model, x, labels, clip_norm, per_layer)
     step, grads, offset = total / lot_size, [], 0
     for w, b in zip(model.weights, model.biases):
         grads += [step[offset:offset + w.size].reshape(w.shape), step[offset + w.size:offset + w.size + b.size]]
@@ -590,14 +589,31 @@ class TestMatchesPerExampleUpdate:
 
         batch_sizes = []
 
-        def reference_update(model, batch, indices, *args):
-            batch_sizes.append(len(indices))
-            per_example_update(model, batch, indices, *args)
+        class ReferenceStep:
+            """Stands in for the trainer's step: the per-example oracle on
+            every batch it is given."""
+
+            def __init__(self, model, features, labels, clip_norm, per_layer):
+                self.model, self.features, self.labels = model, features, labels
+                self.clip_norm, self.per_layer = clip_norm, per_layer
+
+            def __call__(self, indices, sigma, lr, lot_size, rng):
+                batch_sizes.append(len(indices))
+                per_example_update(
+                    self.model, self.features[indices], self.labels[indices], sigma, lr,
+                    self.clip_norm, self.per_layer, rng, lot_size,
+                )
 
         ghost, ghost_report = run()
         with monkeypatch.context() as patch:
-            patch.setattr(dpsgd, "_noisy_update", reference_update)
+            patch.setattr(dpsgd, "_TrainingStep", ReferenceStep)
             reference, reference_report = run()
+        releases = 3 if per_layer_clip else 1
+        if "q" in batching:
+            assert len(batch_sizes) == len(reference_report.ledger.steps) // releases == 4 * 20
+        else:
+            per_epoch = math.ceil(n_examples / (batching["batch_size"] or n_examples))
+            assert len(batch_sizes) == 4 * per_epoch
         assert np.linalg.norm(ghost.params - reference.params) <= 1e-10 * np.linalg.norm(reference.params)
         assert ghost_report.epochs_run == reference_report.epochs_run == 4
         assert ghost_report.ledger.steps == reference_report.ledger.steps
@@ -605,6 +621,46 @@ class TestMatchesPerExampleUpdate:
         assert ghost_report.final_privacy == reference_report.final_privacy
         if n_examples == 50:
             assert 15 <= batch_sizes.count(0) <= 45
+
+
+class TestTrainingStep:
+    """The trainer's step keeps one workspace per batch size across steps; a
+    fresh :func:`noisy_clipped_sum` plus the same update must agree with it
+    bit for bit, from the same generator state, whatever sizes came before."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+        n=st.integers(1, 24),
+        drawn=st.lists(st.integers(0, 24), min_size=1, max_size=6),
+        per_layer=st.booleans(),
+        sigma=st.sampled_from([0.0, 0.8]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_noisy_clipped_sum_update(self, sizes, n, drawn, per_layer, sigma, seed):
+        sizes[-1] = max(sizes[-1], 2)
+        model = nn.MlpModel.init(sizes, seed=seed)
+        reference = nn.MlpModel(model.weights, model.biases)
+        data_rng = np.random.default_rng(seed + 1)
+        x = data_rng.normal(size=(n, sizes[0]))
+        labels = data_rng.integers(0, sizes[-1], size=n)
+        clip_norm, lr, lot_size = 0.7, 0.3, 0.4 * n
+        step = dpsgd._TrainingStep(model, x, labels, clip_norm, per_layer)
+        # each size comes back after the others, with 0 and n among them
+        batch_sizes = [min(b, n) for b in drawn] + [0, n]
+        batch_sizes += batch_sizes[::-1]
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in batch_sizes:
+            indices = np.sort(data_rng.choice(n, size=size, replace=False))
+            step(indices, sigma, lr, lot_size, rng)
+            total = noisy_clipped_sum(reference, x[indices], labels[indices], clip_norm, sigma, per_layer, reference_rng)
+            reference.params -= lr * (total / lot_size)
+            assert model.params.tobytes() == reference.params.tobytes()
+
+    def test_labels_beyond_the_outputs_rejected(self):
+        model = nn.MlpModel.init([2, 3, 2], seed=0)
+        with pytest.raises(DomainError, match="class ids below the model's 2 outputs"):
+            noisy_clipped_sum(model, np.ones((3, 2)), np.array([0, 1, 2]), 1.0, 1.0, False, np.random.default_rng(0))
 
 
 class TestConfigValidation:

@@ -166,6 +166,24 @@ class TestKernelOracle:
         assert np.array_equal(renyi._log_moments(q, sigma, alpha_max), reference_log_moments(q, sigma, alphas))
 
 
+class TestLogFactorialTable:
+    """One table per process, grown on demand, holding math.lgamma's doubles
+    whatever order the sizes are asked in."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 1500), min_size=1, max_size=6))
+    def test_same_doubles_in_any_order(self, sizes):
+        for n in sizes:
+            got = renyi._log_factorials(n)
+            want = np.fromiter(map(math.lgamma, range(1, n + 2)), float, n + 1)
+            assert got.tobytes() == want.tobytes()
+
+    def test_built_once(self):
+        table = renyi._log_factorials(300).base
+        assert renyi._log_factorials(40).base is table
+        assert not table.flags.writeable
+
+
 class TestIntegerOrderOracle:
     """Arbitrary-precision quadrature (mpmath, an entirely separate stack) as
     the oracle for the closed form, including divergences far below 1e-6,

@@ -298,6 +298,15 @@ class TestSolveDecayRate:
         # the published step-decay rates for long horizons sit on a 1e-3 grid
         assert solve_decay_rate("step", 10.0, BUDGET, 100, grid=1e-3, period=10) == pytest.approx(0.956, abs=1e-12)
 
+    @pytest.mark.parametrize("kind,rate", [("exp", 1.5968), ("time", 3.9372)])
+    def test_per_period_rates_beyond_one(self, kind, rate):
+        # decaying once every 10 epochs, a 15-epoch horizon needs k above 1,
+        # the top of the per-epoch search range
+        k = solve_decay_rate(kind, 10.0, BUDGET, 15, period=10)
+        assert k == pytest.approx(rate, abs=1e-12)
+        assert epochs_until_exhaustion(NoiseSchedule(kind, 10.0, k=k, period=10), BUDGET) == 15
+        assert epochs_until_exhaustion(NoiseSchedule(kind, 10.0, k=k - 1e-4, period=10), BUDGET) > 15
+
     @pytest.mark.parametrize("kind", list(DECAY_RATE_TABLE))
     @pytest.mark.parametrize("target", [30, 40, 50, 60, 70, 80, 90, 100])
     def test_round_trip(self, kind, target):
