@@ -299,14 +299,21 @@ def train(
     records: List[EpochRecord] = []
     stop_reason = "max_epochs"
 
+    # each evaluation set loaded once, for the accuracies of every epoch
+    evaluated = [
+        None if data is None else (nn.Forward.load(model, data.features), data.labels)
+        for data in (train_data, test_data, validation_data)
+    ]
+
     def snapshot(epoch: int, sigma: float) -> None:
+        train_acc, test_acc, val_acc = (None if e is None else e[0].accuracy(e[1]) for e in evaluated)
         records.append(
             EpochRecord(
                 epoch=epoch,
                 sigma=sigma,
-                train_acc=nn.accuracy(model, train_data.features, train_data.labels),
-                test_acc=nn.accuracy(model, test_data.features, test_data.labels) if test_data is not None else None,
-                val_acc=nn.accuracy(model, validation_data.features, validation_data.labels) if validation_data is not None else None,
+                train_acc=train_acc,
+                test_acc=test_acc,
+                val_acc=val_acc,
                 cum_rho=ledger.total_rho,
                 cum_eps=ledger.to_dp(config.delta).eps,
             )

@@ -86,45 +86,80 @@ class MlpModel:
         return self.params.size
 
 
-class Columns:
-    """A batch of ``n`` examples held as columns, with room for one forward
-    and backward pass of ``model``.
-
-    One (rows, n) array ``stacked`` holds, as row blocks: ``targets``, the
-    one-hot labels; ``inputs``, every layer's augmented inputs [a_l; 1] in
-    layer order, whose ones rows are written here; ``signals``, every
-    layer's backprop signals d_l in layer order, the last of them the
-    ``logits`` rows; and ``scratch``, as many rows as the larger of inputs
-    and signals, whose first rows, ``active``, a backward pass fills with
-    ReLU'(z).  The first ``n_classes + fan_in + 1`` rows are the batch's
-    [one-hot labels; features; 1], which is all a pass reads.  The views
-    that the passes use, among them each layer's ``layer_inputs``, are made
-    once, so a workspace kept for many batches costs no slicing per pass.
-    ``stacked`` is the first ``rows(model) * n`` elements of ``buffer``, a
-    flat float64 array, if one is given, so that workspaces for several
-    batch sizes can share one allocation.
+class Forward:
+    """Room for forward passes of ``model`` on a batch of examples held as
+    columns: ``inputs``, every layer's augmented inputs [a_l; 1] in layer
+    order, whose ones rows are written here, and ``logits``, the
+    (n_classes, n) outputs.  The views that the pass uses, among them each
+    layer's ``layer_inputs``, are made once, so a workspace kept for many
+    passes costs no slicing per pass.  The blocks are views of
+    ``model.params``, so a pass always runs on the current parameters.
     """
 
-    def __init__(self, model: MlpModel, n: int, buffer: Optional[np.ndarray] = None):
-        a_lo, d_lo = model.input_starts, model.signal_starts
-        n_classes, n_inputs, n_signals = d_lo[-1] - d_lo[-2], a_lo[-1], d_lo[-1]
-        rows = Columns.rows(model)
-        self.model = model
-        self.stacked = np.empty((rows, n)) if buffer is None else buffer[: rows * n].reshape(rows, n)
-        self.targets = self.stacked[:n_classes]
-        self.inputs = self.stacked[n_classes : n_classes + n_inputs]
-        self.signals = self.stacked[n_classes + n_inputs : n_classes + n_inputs + n_signals]
-        self.scratch = self.stacked[n_classes + n_inputs + n_signals :]
-        self.active = self.scratch[:n_inputs]
-        self.logits = self.signals[d_lo[-2] :]
+    def __init__(self, model: MlpModel, inputs: np.ndarray, logits: np.ndarray):
+        a_lo = model.input_starts
+        self.model, self.inputs, self.logits = model, inputs, logits
         # each layer's augmented inputs [a_l; 1]
-        self.layer_inputs = [self.inputs[lo:hi] for lo, hi in zip(a_lo, a_lo[1:])]
+        self.layer_inputs = [inputs[lo:hi] for lo, hi in zip(a_lo, a_lo[1:])]
         self.ones = [a[-1] for a in self.layer_inputs]
         self.fill_ones()
         top = len(model.blocks) - 1
         # forward: (block^T, the layer's inputs, its outputs: the next layer's a)
         self.hidden = [(model.blocks[l].T, self.layer_inputs[l], self.layer_inputs[l + 1][:-1]) for l in range(top)]
         self.output = (model.blocks[top].T, self.layer_inputs[top])
+
+    @staticmethod
+    def load(model: MlpModel, x: np.ndarray) -> "Forward":
+        """``x`` (rows = examples) as the first-layer inputs of a new
+        workspace that holds only the input and logit rows."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        _check_batch(model, x)
+        n_inputs = model.input_starts[-1]
+        rows = np.empty((n_inputs + model.signal_starts[-1] - model.signal_starts[-2], len(x)))
+        loaded = Forward(model, rows[:n_inputs], rows[n_inputs:])
+        loaded.inputs[: x.shape[1]] = x.T
+        return loaded
+
+    def fill_ones(self) -> None:
+        """Write the constant 1 of every layer's [a_l; 1].  The passes never
+        overwrite it, so this is needed again only after another workspace
+        sharing the buffer has been used."""
+        for row in self.ones:
+            row.fill(1.0)
+
+    def accuracy(self, labels: np.ndarray) -> float:
+        """The share of the loaded examples whose largest logit is their label."""
+        hits = np.argmax(_forward(self).T, axis=1) == labels
+        # the mean of the 0/1 hits, whose sum is exact
+        return float(np.divide(np.count_nonzero(hits), hits.size))
+
+
+class Columns(Forward):
+    """A batch of ``n`` examples held as columns, with room for one forward
+    and backward pass of ``model``.
+
+    One (rows, n) array ``stacked`` holds, as row blocks: ``targets``, the
+    one-hot labels; the :class:`Forward` ``inputs``; ``signals``, every
+    layer's backprop signals d_l in layer order, the last of them the
+    ``logits`` rows; and ``scratch``, as many rows as the larger of inputs
+    and signals, whose first rows, ``active``, a backward pass fills with
+    ReLU'(z).  The first ``n_classes + fan_in + 1`` rows are the batch's
+    [one-hot labels; features; 1], which is all a pass reads.  ``stacked``
+    is the first ``rows(model) * n`` elements of ``buffer``, a flat float64
+    array, if one is given, so that workspaces for several batch sizes can
+    share one allocation.
+    """
+
+    def __init__(self, model: MlpModel, n: int, buffer: Optional[np.ndarray] = None):
+        a_lo, d_lo = model.input_starts, model.signal_starts
+        n_classes, n_inputs, n_signals = d_lo[-1] - d_lo[-2], a_lo[-1], d_lo[-1]
+        rows = Columns.rows(model)
+        self.stacked = np.empty((rows, n)) if buffer is None else buffer[: rows * n].reshape(rows, n)
+        self.targets = self.stacked[:n_classes]
+        self.signals = self.stacked[n_classes + n_inputs : n_classes + n_inputs + n_signals]
+        self.scratch = self.stacked[n_classes + n_inputs + n_signals :]
+        self.active = self.scratch[:n_inputs]
+        super().__init__(model, self.stacked[n_classes : n_classes + n_inputs], self.signals[d_lo[-2] :])
 
     @cached_property
     def backprop(self) -> List[Tuple[np.ndarray, ...]]:
@@ -143,15 +178,8 @@ class Columns:
         n_inputs, n_signals = model.input_starts[-1], model.signal_starts[-1]
         return n_signals - model.signal_starts[-2] + n_inputs + n_signals + max(n_inputs, n_signals)
 
-    def fill_ones(self) -> None:
-        """Write the constant 1 of every layer's [a_l; 1].  The passes never
-        overwrite it, so this is needed again only after another workspace
-        sharing the buffer has been used."""
-        for row in self.ones:
-            row.fill(1.0)
 
-
-def _forward(cols: Columns) -> np.ndarray:
+def _forward(cols: Forward) -> np.ndarray:
     """Forward pass of the batch in ``cols``: fills every hidden layer's
     input rows and returns the (n_classes, n) ``cols.logits``.  Layer l's
     outputs are ``blocks[l].T`` times its augmented inputs."""
@@ -169,21 +197,13 @@ def _check_batch(model: MlpModel, x: np.ndarray) -> None:
         )
 
 
-def _load(model: MlpModel, x: np.ndarray) -> Columns:
-    """``x`` (rows = examples) as the first-layer inputs of new columns."""
-    _check_batch(model, x)
-    cols = Columns(model, len(x))
-    cols.inputs[: x.shape[1]] = x.T
-    return cols
-
-
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Logits for a single feature vector or a batch (rows = examples)."""
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    logits = _forward(_load(model, x)).T
+    logits = _forward(Forward.load(model, x)).T
     return logits[0] if single else logits
 
 
@@ -213,7 +233,7 @@ def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.mean(predict(model, x) == labels))
+    return Forward.load(model, x).accuracy(labels)
 
 
 def backward(cols: Columns) -> None:
@@ -246,7 +266,9 @@ def backprop_signals(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> Tupl
     labels = np.atleast_1d(labels)
     if len(x) == 0:
         raise DomainError("backprop signals require a nonempty batch")
-    cols = _load(model, x)
+    _check_batch(model, x)
+    cols = Columns(model, len(x))
+    cols.inputs[: x.shape[1]] = x.T
     cols.targets.fill(0.0)
     cols.targets[labels, np.arange(len(x))] = 1.0
     backward(cols)

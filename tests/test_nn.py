@@ -63,6 +63,20 @@ class TestForward:
         with pytest.raises(DomainError):
             nn.forward(model, np.zeros(4))
 
+    @pytest.mark.parametrize("sizes", [(9, 10, 20, 10, 2), (4, 3), (0, 5, 3)])
+    def test_loaded_accuracy_follows_the_parameters(self, sizes):
+        # one workspace, loaded once, evaluated after in-place updates as
+        # training does: the same value as the mean of fresh predictions
+        model = nn.MlpModel.init(sizes, seed=2)
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(37, sizes[0]))
+        labels = rng.integers(0, sizes[-1], size=37)
+        loaded = nn.Forward.load(model, x)
+        for _ in range(5):
+            want = float(np.mean(np.argmax(nn.forward(model, x), axis=1) == labels))
+            assert loaded.accuracy(labels) == want == nn.accuracy(model, x, labels)
+            model.params += rng.normal(size=model.n_params)
+
     def test_softmax_normalizes(self):
         model = nn.MlpModel.init([4, 6, 3], seed=5)
         logits = nn.forward(model, np.random.default_rng(1).normal(size=(10, 4)))
