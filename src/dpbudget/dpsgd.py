@@ -125,12 +125,13 @@ class _TrainingStep:
         n_classes = model.blocks[-1].shape[1]
         if len(labels) and not 0 <= labels.min() <= labels.max() < n_classes:
             raise DomainError(f"labels must be class ids below the model's {n_classes} outputs")
-        self.examples = np.zeros((n_classes + features.shape[1] + 1, len(labels)))
+        self.examples = nn.aligned_empty((n_classes + features.shape[1] + 1, len(labels)))
+        self.examples[:n_classes] = 0.0
         self.examples[labels, np.arange(len(labels))] = 1.0
         self.examples[n_classes:-1] = features.T
         self.examples[-1] = 1.0
         self.model, self.clip_norm, self.per_layer = model, clip_norm, per_layer
-        self.noise, self.total = np.empty(model.n_params), np.empty(model.n_params)
+        self.noise, self.total = nn.aligned_empty(model.n_params), nn.aligned_empty(model.n_params)
         self.buffer = np.empty(0)
         self.batches: Dict[int, _Batch] = {}
         self.current: Optional[_Batch] = None
@@ -142,7 +143,7 @@ class _TrainingStep:
         batch = self.batches.get(n)
         if batch is None:
             if _Batch.size(self.model, n) > len(self.buffer):
-                self.buffer = np.empty(_Batch.size(self.model, n))
+                self.buffer = nn.aligned_empty(_Batch.size(self.model, n))
                 self.batches.clear()
             batch = self.batches[n] = _Batch(self.model, n, self.buffer, self.total)
         elif batch is not self.current:

@@ -657,6 +657,16 @@ class TestTrainingStep:
             reference.params -= lr * (total / lot_size)
             assert model.params.tobytes() == reference.params.tobytes()
 
+    def test_buffers_start_cache_lines(self):
+        model = nn.MlpModel.init([9, 10, 20, 10, 2], seed=0)
+        step = dpsgd._TrainingStep(model, np.ones((560, 9)), np.zeros(560, dtype=int), 1.0, False)
+        for n in (560, 140, 6):
+            step(np.arange(n), 1.0, 0.1, n, np.random.default_rng(0))
+            batch = step.batches[n]
+            assert batch.stacked.ctypes.data % nn.CACHE_LINE == 0
+        for array in (step.examples, step.noise, step.total):
+            assert array.ctypes.data % nn.CACHE_LINE == 0
+
     def test_labels_beyond_the_outputs_rejected(self):
         model = nn.MlpModel.init([2, 3, 2], seed=0)
         with pytest.raises(DomainError, match="class ids below the model's 2 outputs"):

@@ -221,6 +221,22 @@ class TestFlatStorage:
             nn.load_checkpoint(str(path))
 
 
+class TestAlignedEmpty:
+    @pytest.mark.parametrize("shape", [1, 7, 552, (3, 5), (158, 560)])
+    def test_starts_a_cache_line(self, shape):
+        # several in a row, so that the allocator's placements vary
+        for _ in range(8):
+            a = nn.aligned_empty(shape)
+            assert a.shape == np.empty(shape).shape and a.dtype == np.float64 and a.flags.c_contiguous
+            assert a.ctypes.data % nn.CACHE_LINE == 0
+
+    def test_evaluation_workspace_is_aligned(self):
+        model = nn.MlpModel.init([9, 10, 20, 10, 2], seed=0)
+        loaded = nn.Forward.load(model, np.ones((560, 9)))
+        assert loaded.inputs.ctypes.data % nn.CACHE_LINE == 0
+        assert nn.Columns(model, 560).stacked.ctypes.data % nn.CACHE_LINE == 0
+
+
 class TestInit:
     def test_seed_reproducible(self):
         a = nn.MlpModel.init([6, 5, 2], seed=77)
