@@ -54,8 +54,9 @@ def _check_delta(delta: Optional[float]) -> None:
 
 
 def _check_sigma(sigma: float) -> None:
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        raise DomainError(f"sigma must be a positive finite real, got {sigma}")
+    # a sigma below about 1.1e-162 has a 2 sigma^2 that underflows to 0
+    if not (sigma > 0.0 and 2.0 * sigma * sigma > 0.0 and math.isfinite(sigma)):
+        raise DomainError(f"sigma must be a positive finite real whose square does not underflow, got {sigma}")
 
 
 def gaussian_rho(sigma: float) -> float:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
@@ -39,33 +38,8 @@ def _clip_factors(sq_norms: np.ndarray, clip_norm: float) -> np.ndarray:
     return np.divide(clip_norm, sq_norms, out=sq_norms)
 
 
-class _Batch(nn.Columns):
-    """:class:`nn.Columns` with room for one clipped, noised sum: the
-    per-layer squared norms of the inputs and of the signals go to
-    ``input_sq`` and ``signal_sq``, the clipped signals to the ``scaled``
-    scratch rows, and the sum to ``total``, one vector in ``model.params``
-    order whose block l is ``layer_inputs[l] @ scaled_blocks[l]``.  All but
-    ``total`` live in the first ``size(model, n)`` elements of ``buffer``."""
-
-    def __init__(self, model: nn.MlpModel, n: int, buffer: np.ndarray, total: np.ndarray):
-        super().__init__(model, n, buffer)
-        layers, start = len(model.blocks), self.stacked.size
-        self.input_sq, self.signal_sq = buffer[start : start + 2 * layers * n].reshape(2, layers, n)
-        self.scaled = self.scratch[: len(self.signals)]
-        self.total = total
-        offsets = accumulate([block.size for block in model.blocks], initial=0)
-        self.total_blocks = [total[lo : lo + block.size].reshape(block.shape) for lo, block in zip(offsets, model.blocks)]
-        d_lo = model.signal_starts
-        self.scaled_blocks = [self.scaled[lo:hi].T for lo, hi in zip(d_lo, d_lo[1:])]
-
-    @staticmethod
-    def size(model: nn.MlpModel, n: int) -> int:
-        return (nn.Columns.rows(model) + 2 * len(model.blocks)) * n
-
-
 def _noisy_clipped_sum(
-    batch: Optional[_Batch],
-    model: nn.MlpModel,
+    batch: Optional[nn.Columns],
     clip_norm: float,
     sigma: float,
     per_layer: bool,
@@ -73,8 +47,8 @@ def _noisy_clipped_sum(
     noise: np.ndarray,
 ) -> np.ndarray:
     """N(0, (sigma C)^2 I) plus the sum over the batch of the clipped
-    per-example gradients of ``model``'s layers, as one vector in
-    ``model.params`` order.
+    per-example gradients of the model's layers, as one vector in
+    ``params`` order.
 
     The noise is drawn into ``noise``.  ``batch`` holds the layers'
     augmented inputs ã = [a, 1] and backprop signals d, as
@@ -95,10 +69,10 @@ def _noisy_clipped_sum(
         return noise
     inputs_t, signals_t, scaled_t, sq_norms = batch.inputs, batch.signals, batch.scaled, batch.input_sq
     # The scratch rows hold ã^2, then d^2, then d s.
-    np.dot(model.input_layers, np.multiply(inputs_t, inputs_t, out=batch.active), out=sq_norms)
-    sq_norms *= np.dot(model.signal_layers, np.multiply(signals_t, signals_t, out=scaled_t), out=batch.signal_sq)
+    np.dot(batch.input_layers, np.multiply(inputs_t, inputs_t, out=batch.active), out=sq_norms)
+    sq_norms *= np.dot(batch.signal_layers, np.multiply(signals_t, signals_t, out=scaled_t), out=batch.signal_sq)
     if per_layer:
-        np.dot(model.signal_layers.T, _clip_factors(sq_norms, clip_norm), out=scaled_t)
+        np.dot(batch.signal_layers.T, _clip_factors(sq_norms, clip_norm), out=scaled_t)
         scaled_t *= signals_t
     else:
         np.multiply(signals_t, _clip_factors(np.add.reduce(sq_norms, 0), clip_norm), out=scaled_t)
@@ -114,8 +88,8 @@ class _TrainingStep:
 
     The examples are held as columns [one-hot labels; features; 1], so one
     ``np.take`` gathers a batch's targets and first-layer inputs into its
-    :class:`_Batch`, of which there is one per batch size.  The noise and the
-    sum are drawn into ``noise`` and ``total`` whatever the size.
+    :class:`nn.Columns`, of which there is one per batch size.  The noise is
+    drawn into ``noise`` whatever the size.
     """
 
     def __init__(self, model: nn.MlpModel, features: np.ndarray, labels: np.ndarray, clip_norm: float, per_layer: bool):
@@ -131,21 +105,21 @@ class _TrainingStep:
         self.examples[n_classes:-1] = features.T
         self.examples[-1] = 1.0
         self.model, self.clip_norm, self.per_layer = model, clip_norm, per_layer
-        self.noise, self.total = nn.aligned_empty(model.n_params), nn.aligned_empty(model.n_params)
+        self.noise = nn.aligned_empty(model.n_params)
         self.buffer = np.empty(0)
-        self.batches: Dict[int, _Batch] = {}
-        self.current: Optional[_Batch] = None
+        self.batches: Dict[int, nn.Columns] = {}
+        self.current: Optional[nn.Columns] = None
 
-    def _batch(self, n: int) -> _Batch:
+    def _batch(self, n: int) -> nn.Columns:
         """The workspace of an n-example batch.  Those of all sizes share one
         buffer, sized for the largest batch so far, so memory stays that of
         one batch however many sizes a sampled run meets."""
         batch = self.batches.get(n)
         if batch is None:
-            if _Batch.size(self.model, n) > len(self.buffer):
-                self.buffer = nn.aligned_empty(_Batch.size(self.model, n))
+            if nn.Columns.size(self.model, n) > len(self.buffer):
+                self.buffer = nn.aligned_empty(nn.Columns.size(self.model, n))
                 self.batches.clear()
-            batch = self.batches[n] = _Batch(self.model, n, self.buffer, self.total)
+            batch = self.batches[n] = nn.Columns(self.model, n, self.buffer)
         elif batch is not self.current:
             batch.fill_ones()
         self.current = batch
@@ -158,7 +132,7 @@ class _TrainingStep:
             batch = self._batch(len(indices))
             self.examples.take(indices, 1, batch.stacked[: len(self.examples)], "clip")
             nn.backward(batch)
-        return _noisy_clipped_sum(batch, self.model, self.clip_norm, sigma, self.per_layer, rng, self.noise)
+        return _noisy_clipped_sum(batch, self.clip_norm, sigma, self.per_layer, rng, self.noise)
 
     def __call__(self, indices: np.ndarray, sigma: float, lr: float, lot_size: float, rng: np.random.Generator) -> None:
         """One release on ``indices``, divided by ``lot_size``, applied as one
@@ -187,29 +161,9 @@ def noisy_mean_gradient(
     if batch_size < 1:
         raise DomainError(f"batch_size must be positive, got {batch_size}")
     n, p = per_example.shape
-    bias_only = nn.MlpModel([np.empty((0, p))], [np.empty(p)])
-    batch = _Batch(bias_only, n, np.empty(_Batch.size(bias_only, n)), np.empty(p))
+    batch = nn.Columns(nn.MlpModel([np.empty((0, p))], [np.empty(p)]), n)
     batch.signals[...] = per_example.T
-    return _noisy_clipped_sum(batch, bias_only, clip_norm, sigma, False, rng, np.empty(p)) / batch_size
-
-
-def noisy_clipped_sum(
-    model: nn.MlpModel,
-    x: np.ndarray,
-    labels: np.ndarray,
-    clip_norm: float,
-    sigma: float,
-    per_layer: bool,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sum of the batch's clipped per-example gradients plus N(0, (sigma C)^2 I),
-    as one vector in ``model.params`` order (W0, b0, W1, b1, ...).
-
-    Each example's gradient is clipped to norm C as a whole, or layer by
-    layer when ``per_layer``.  An empty batch releases the noise alone.
-    """
-    step = _TrainingStep(model, x, labels, clip_norm, per_layer)
-    return step.noisy_clipped_sum(np.arange(step.examples.shape[1]), sigma, rng)
+    return _noisy_clipped_sum(batch, clip_norm, sigma, False, rng, np.empty(p)) / batch_size
 
 
 @dataclass(frozen=True)
@@ -302,7 +256,7 @@ def train(
 
     # each evaluation set loaded once, for the accuracies of every epoch
     evaluated = [
-        None if data is None else (nn.Forward.load(model, data.features), data.labels)
+        None if data is None else (nn.Columns.load(model, data.features), data.labels)
         for data in (train_data, test_data, validation_data)
     ]
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -70,15 +69,6 @@ class MlpModel:
             offset = end
         self.weights: List[np.ndarray] = [block[:-1] for block in self.blocks]
         self.biases: List[np.ndarray] = [block[-1] for block in self.blocks]
-        # 0/1 matrices whose row l marks layer l's columns of the inputs and
-        # signals that backprop_signals returns: one product with them sums a
-        # batch's per-column values layer by layer.
-        eye = np.eye(len(self.blocks))
-        self.input_layers = np.repeat(eye, [len(block) for block in self.blocks], axis=1)
-        self.signal_layers = np.repeat(eye, [block.shape[1] for block in self.blocks], axis=1)
-        # the first of those columns of each layer, and their number last
-        self.input_starts = list(accumulate([len(block) for block in self.blocks], initial=0))
-        self.signal_starts = list(accumulate([block.shape[1] for block in self.blocks], initial=0))
 
     @classmethod
     def init(cls, layer_sizes: Sequence[int], seed: int) -> "MlpModel":
@@ -102,37 +92,83 @@ class MlpModel:
         return self.params.size
 
 
-class Forward:
-    """Room for forward passes of ``model`` on a batch of examples held as
-    columns: ``inputs``, every layer's augmented inputs [a_l; 1] in layer
-    order, whose ones rows are written here, and ``logits``, the
-    (n_classes, n) outputs.  The views that the pass uses, among them each
-    layer's ``layer_inputs``, are made once, so a workspace kept for many
-    passes costs no slicing per pass.  The blocks are views of
+class Columns:
+    """A batch of ``n`` examples held as columns, with room for one forward
+    and backward pass of ``model`` and for the clipped sum of its
+    per-example gradients.
+
+    One (rows, n) array ``stacked`` holds, as row blocks: ``targets``, the
+    one-hot labels; ``inputs``, every layer's augmented inputs [a_l; 1] in
+    layer order, whose ones rows are written here; ``signals``, every
+    layer's backprop signals d_l in layer order, the last of them the
+    ``logits`` rows; ``scratch``, as many rows as the larger of inputs and
+    signals, whose first rows, ``active``, a backward pass fills with
+    ReLU'(z); and ``input_sq`` and ``signal_sq``, one row per layer for the
+    squared norms of its inputs and of its signals.  The first ``n_classes +
+    fan_in + 1`` rows are the batch's [one-hot labels; features; 1], which
+    is all a pass reads.  ``total``, one vector in ``model.params`` order,
+    follows the rows; its block l is ``layer_inputs[l] @ scaled_blocks[l]``.
+    All of it is the first ``size(model, n)`` elements of ``buffer``, a flat
+    float64 array, if one is given, so that workspaces for several batch
+    sizes can share one allocation.
+
+    Every view of the passes is made here, once, so a workspace kept for
+    many passes costs no slicing per pass.  The blocks are views of
     ``model.params``, so a pass always runs on the current parameters.
     """
 
-    def __init__(self, model: MlpModel, inputs: np.ndarray, logits: np.ndarray):
-        a_lo = model.input_starts
-        self.model, self.inputs, self.logits = model, inputs, logits
-        # each layer's augmented inputs [a_l; 1]
-        self.layer_inputs = [inputs[lo:hi] for lo, hi in zip(a_lo, a_lo[1:])]
+    def __init__(self, model: MlpModel, n: int, buffer: Optional[np.ndarray] = None):
+        blocks, heights = model.blocks, Columns._heights(model)
+        rows = sum(heights)
+        if buffer is None:
+            buffer = aligned_empty(Columns.size(model, n))
+        self.stacked = buffer[: rows * n].reshape(rows, n)
+        self.targets, self.inputs, self.signals, self.scratch, squares = np.split(self.stacked, list(accumulate(heights[:-1])))
+        self.input_sq, self.signal_sq = squares.reshape(2, len(blocks), n)
+        self.active = self.scratch[: len(self.inputs)]
+        self.scaled = self.scratch[: len(self.signals)]
+        self.total = buffer[rows * n : rows * n + model.n_params]
+        # each layer's rows, and row l of these 0/1 matrices marks them: one
+        # product with them sums a batch's per-row values layer by layer
+        fan_ins, fan_outs = [len(block) for block in blocks], [block.shape[1] for block in blocks]
+        a_cuts, d_cuts = list(accumulate(fan_ins[:-1])), list(accumulate(fan_outs[:-1]))
+        self.layer_inputs, self.layer_signals = np.split(self.inputs, a_cuts), np.split(self.signals, d_cuts)
+        eye = np.eye(len(blocks))
+        self.input_layers, self.signal_layers = np.repeat(eye, fan_ins, axis=1), np.repeat(eye, fan_outs, axis=1)
         self.ones = [a[-1] for a in self.layer_inputs]
         self.fill_ones()
-        top = len(model.blocks) - 1
+        top = len(blocks) - 1
         # forward: (block^T, the layer's inputs, its outputs: the next layer's a)
-        self.hidden = [(model.blocks[l].T, self.layer_inputs[l], self.layer_inputs[l + 1][:-1]) for l in range(top)]
-        self.output = (model.blocks[top].T, self.layer_inputs[top])
+        self.hidden = [(blocks[l].T, self.layer_inputs[l], self.layer_inputs[l + 1][:-1]) for l in range(top)]
+        self.output = (blocks[top].T, self.layer_inputs[top])
+        self.logits = self.layer_signals[top]
+        # backward, from the top: (W_l, d_l, d_{l-1}, the rows of ``active``
+        # that gate d_{l-1}), as d_{l-1} = (W_l d_l) * ReLU'(z), the sign of a_l
+        gates = [active[:-1] for active in np.split(self.active, a_cuts)]
+        self.backprop = [(model.weights[l], self.layer_signals[l], self.layer_signals[l - 1], gates[l]) for l in range(top, 0, -1)]
+        # the clipped sum: block l of ``total`` is layer l's inputs times its scaled signals
+        self.scaled_blocks = [ds.T for ds in np.split(self.scaled, d_cuts)]
+        p_cuts = list(accumulate(block.size for block in blocks[:-1]))
+        self.total_blocks = [t.reshape(block.shape) for t, block in zip(np.split(self.total, p_cuts), blocks)]
 
     @staticmethod
-    def load(model: MlpModel, x: np.ndarray) -> "Forward":
-        """``x`` (rows = examples) as the first-layer inputs of a new
-        workspace that holds only the input and logit rows."""
+    def _heights(model: MlpModel) -> List[int]:
+        """The rows of the blocks of ``stacked``, in order: targets, inputs,
+        signals, scratch and the squared norms."""
+        n_inputs, n_signals = sum(len(block) for block in model.blocks), sum(block.shape[1] for block in model.blocks)
+        return [model.blocks[-1].shape[1], n_inputs, n_signals, max(n_inputs, n_signals), 2 * len(model.blocks)]
+
+    @staticmethod
+    def size(model: MlpModel, n: int) -> int:
+        """The number of float64 elements of an n-example workspace for ``model``."""
+        return sum(Columns._heights(model)) * n + model.n_params
+
+    @staticmethod
+    def load(model: MlpModel, x: np.ndarray) -> "Columns":
+        """``x`` (rows = examples) as the first-layer inputs of a new workspace."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         _check_batch(model, x)
-        n_inputs = model.input_starts[-1]
-        rows = aligned_empty((n_inputs + model.signal_starts[-1] - model.signal_starts[-2], len(x)))
-        loaded = Forward(model, rows[:n_inputs], rows[n_inputs:])
+        loaded = Columns(model, len(x))
         loaded.inputs[: x.shape[1]] = x.T
         return loaded
 
@@ -150,52 +186,7 @@ class Forward:
         return float(np.divide(np.count_nonzero(hits), hits.size))
 
 
-class Columns(Forward):
-    """A batch of ``n`` examples held as columns, with room for one forward
-    and backward pass of ``model``.
-
-    One (rows, n) array ``stacked`` holds, as row blocks: ``targets``, the
-    one-hot labels; the :class:`Forward` ``inputs``; ``signals``, every
-    layer's backprop signals d_l in layer order, the last of them the
-    ``logits`` rows; and ``scratch``, as many rows as the larger of inputs
-    and signals, whose first rows, ``active``, a backward pass fills with
-    ReLU'(z).  The first ``n_classes + fan_in + 1`` rows are the batch's
-    [one-hot labels; features; 1], which is all a pass reads.  ``stacked``
-    is the first ``rows(model) * n`` elements of ``buffer``, a flat float64
-    array, if one is given, so that workspaces for several batch sizes can
-    share one allocation.
-    """
-
-    def __init__(self, model: MlpModel, n: int, buffer: Optional[np.ndarray] = None):
-        a_lo, d_lo = model.input_starts, model.signal_starts
-        n_classes, n_inputs, n_signals = d_lo[-1] - d_lo[-2], a_lo[-1], d_lo[-1]
-        rows = Columns.rows(model)
-        self.stacked = aligned_empty((rows, n)) if buffer is None else buffer[: rows * n].reshape(rows, n)
-        self.targets = self.stacked[:n_classes]
-        self.signals = self.stacked[n_classes + n_inputs : n_classes + n_inputs + n_signals]
-        self.scratch = self.stacked[n_classes + n_inputs + n_signals :]
-        self.active = self.scratch[:n_inputs]
-        super().__init__(model, self.stacked[n_classes : n_classes + n_inputs], self.signals[d_lo[-2] :])
-
-    @cached_property
-    def backprop(self) -> List[Tuple[np.ndarray, ...]]:
-        """The views of the backward pass, made on its first use: from the
-        top, (W_l, d_l, d_{l-1}, the rows of ``active`` that gate d_{l-1}),
-        as d_{l-1} = (W_l d_l) * ReLU'(z), the sign of a_l."""
-        a_lo, d_lo, weights = self.model.input_starts, self.model.signal_starts, self.model.weights
-        return [
-            (weights[l], self.signals[d_lo[l] : d_lo[l + 1]], self.signals[d_lo[l - 1] : d_lo[l]], self.active[a_lo[l] : a_lo[l + 1] - 1])
-            for l in range(len(weights) - 1, 0, -1)
-        ]
-
-    @staticmethod
-    def rows(model: MlpModel) -> int:
-        """The number of rows of ``stacked`` for ``model``."""
-        n_inputs, n_signals = model.input_starts[-1], model.signal_starts[-1]
-        return n_signals - model.signal_starts[-2] + n_inputs + n_signals + max(n_inputs, n_signals)
-
-
-def _forward(cols: Forward) -> np.ndarray:
+def _forward(cols: Columns) -> np.ndarray:
     """Forward pass of the batch in ``cols``: fills every hidden layer's
     input rows and returns the (n_classes, n) ``cols.logits``.  Layer l's
     outputs are ``blocks[l].T`` times its augmented inputs."""
@@ -219,7 +210,7 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    logits = _forward(Forward.load(model, x)).T
+    logits = _forward(Columns.load(model, x)).T
     return logits[0] if single else logits
 
 
@@ -249,7 +240,7 @@ def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
-    return Forward.load(model, x).accuracy(labels)
+    return Columns.load(model, x).accuracy(labels)
 
 
 def backward(cols: Columns) -> None:
@@ -268,43 +259,26 @@ def backward(cols: Columns) -> None:
         below *= active
 
 
-def backprop_signals(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Every layer's augmented inputs and backprop signals for a batch.
-
-    Returns ``(inputs, signals)``, an (n, sum of fan_in+1) and an (n, sum
-    of fan_out) array.  Their column segments hold, in layer order, layer
-    l's augmented inputs ``[a_l, 1]`` and its signals ``d_l``: example i's
-    loss gradient for the block [W_l; b_l] is ``outer(inputs_l[i],
-    signals_l[i])``, so its squared norm is ``|inputs_l[i]|^2
-    |signals_l[i]|^2``.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    labels = np.atleast_1d(labels)
-    if len(x) == 0:
-        raise DomainError("backprop signals require a nonempty batch")
-    _check_batch(model, x)
-    cols = Columns(model, len(x))
-    cols.inputs[: x.shape[1]] = x.T
-    cols.targets.fill(0.0)
-    cols.targets[labels, np.arange(len(x))] = 1.0
-    backward(cols)
-    return cols.inputs.T, cols.signals.T
-
-
 def per_example_gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> List[np.ndarray]:
     """Exact per-example gradients of the softmax cross-entropy loss.
 
     Returns one array per parameter in the order (W0, b0, W1, b1, ...), each
-    with a leading batch axis.  Training never builds these; they are the
-    outer-product reference for :func:`backprop_signals`.
+    with a leading batch axis: example i's gradient for the block [W_l; b_l]
+    is the outer product of its augmented inputs [a_l, 1] and its signals
+    d_l, as :func:`backward` leaves them.  Training never builds these; they
+    are the reference for its ghost norms.
     """
-    inputs, signals = backprop_signals(model, x, labels)
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if len(x) == 0:
+        raise DomainError("per-example gradients require a nonempty batch")
+    cols = Columns.load(model, x)
+    cols.targets.fill(0.0)
+    cols.targets[np.atleast_1d(labels), np.arange(len(x))] = 1.0
+    backward(cols)
     grads: List[np.ndarray] = []
-    a_lo = d_lo = 0
-    for n_in, n_out in (block.shape for block in model.blocks):
-        block_grads = inputs[:, a_lo : a_lo + n_in, None] * signals[:, None, d_lo : d_lo + n_out]
+    for inputs, signals in zip(cols.layer_inputs, cols.layer_signals):
+        block_grads = inputs.T[:, :, None] * signals.T[:, None, :]
         grads += [block_grads[:, :-1], block_grads[:, -1]]
-        a_lo, d_lo = a_lo + n_in, d_lo + n_out
     return grads
 
 
@@ -333,14 +307,22 @@ def save_checkpoint(model: MlpModel, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> MlpModel:
+    """The model that :func:`save_checkpoint` wrote to ``path``.  A file
+    that is not one, down to layer sizes that are not a list of at least two
+    integers, the first nonnegative and the rest positive, raises
+    :class:`ParseError`."""
     with open(path, "rb") as fh:
-        magic = fh.readline().decode().strip()
-        if magic != CHECKPOINT_MAGIC:
-            raise ParseError(f"not a model checkpoint (header {magic!r})", line=1)
+        magic = fh.readline().strip()
+        if magic != CHECKPOINT_MAGIC.encode():
+            raise ParseError(f"not a model checkpoint (header {magic.decode(errors='replace')!r})", line=1)
         try:
-            sizes = json.loads(fh.readline().decode())["layer_sizes"]
-        except (json.JSONDecodeError, KeyError) as exc:
+            header = json.loads(fh.readline())  # UnicodeDecodeError is a ValueError too
+        except ValueError as exc:
             raise ParseError(f"bad checkpoint metadata: {exc}", line=2) from exc
+        sizes = header.get("layer_sizes") if type(header) is dict else None
+        if not (type(sizes) is list and len(sizes) >= 2 and all(type(size) is int for size in sizes)
+                and sizes[0] >= 0 and min(sizes[1:]) >= 1):
+            raise ParseError(f"bad checkpoint layer sizes {sizes!r}", line=2)
         blob = fh.read()
     shapes = list(zip(sizes[:-1], sizes[1:]))
     if len(blob) != 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in shapes):

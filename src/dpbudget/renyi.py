@@ -204,7 +204,8 @@ def moment_bound_grid(
     q_start: Optional[float] = None,
 ) -> List[Tuple[float, float]]:
     """(q, sigma) pairs with q running from ``q_start`` (default ``q_step``)
-    to ``min(1, 1/(16 sigma))`` in steps of ``q_step``."""
+    to ``min(1, 1/(16 sigma))`` in steps of ``q_step``.  The first q is
+    ``q_start`` itself, and the later ones are rounded to 12 decimals."""
     start = q_step if q_start is None else q_start
     if not 0.0 < q_step < math.inf:
         raise DomainError(f"q step must be positive and finite, got {q_step}")
@@ -220,7 +221,7 @@ def moment_bound_grid(
             q = start + i * q_step
             if q > q_max + 1e-12:
                 break
-            grid.append((round(q, 12), sigma))
+            grid.append((q if i == 0 else round(q, 12), sigma))
             i += 1
     return grid
 

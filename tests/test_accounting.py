@@ -26,6 +26,19 @@ class TestGaussianRho:
         with pytest.raises(DomainError):
             accounting.gaussian_rho(-3.0)
 
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-163, 1e-162])
+    def test_rejects_sigma_whose_square_underflows(self, sigma):
+        # 2 sigma^2 is 0.0 there, and 1 / (2 sigma^2) divided by zero
+        with pytest.raises(DomainError, match="underflow"):
+            accounting.gaussian_rho(sigma)
+        ledger = PrivacyLedger("rf")
+        with pytest.raises(DomainError, match="underflow"):
+            ledger.admit(sigma, 1.0)
+        assert ledger.steps == []
+
+    def test_smallest_sigma_with_a_square_costs_inf(self):
+        assert accounting.gaussian_rho(1e-160) == math.inf
+
 
 class TestZcdpToDp:
     def test_zero_budget(self):

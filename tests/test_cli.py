@@ -104,6 +104,22 @@ class TestValidateBoundCommand:
         assert payload["violations"] == []
         assert payload["worst_slack"] >= 0
 
+    @pytest.mark.parametrize("q", ["1e-13", "0.0123456789012345"])
+    def test_point_is_checked_unrounded(self, tmp_path, q):
+        # the point is the grid's first q, which is not rounded to 12 decimals
+        out = tmp_path / "report.json"
+        assert run(["validate-bound", "--point", q, "4", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        want = renyi.validate_moment_bound([4.0], q_step=1.0, q_start=float(q))
+        assert payload["points_checked"] == want.n_points > 0
+        assert payload["worst_slack"] == want.worst_slack
+
+    def test_violation_reports_the_unrounded_point(self, tmp_path):
+        out = tmp_path / "point.json"
+        assert run(["validate-bound", "--point", "0.0497123456789012", "1.0", "--out", str(out)]) == 0
+        [violation] = json.loads(out.read_text())["violations"]
+        assert (violation["q"], violation["sigma"], violation["alpha"]) == (0.0497123456789012, 1.0, 4)
+
     def test_empty_grid(self, tmp_path):
         out = tmp_path / "empty.json"
         code = run([
@@ -154,6 +170,8 @@ class TestValidateBoundCommand:
         ["solve-k", "--kind", "step", "--sigma0", "10", "--target", "60", "--rho-total", "0.78125"],
         ["solve-k", "--kind", "poly", "--sigma0", "10", "--target", "60", "--rho-total", "0.78125", "--period", "100"],
         ["solve-k", "--kind", "time", "--sigma0", "10", "--target", "60", "--rho-total", "0.78125", "--sigma-end", "2"],
+        # 2 sigma0^2 underflows to 0
+        ["solve-k", "--kind", "time", "--sigma0", "1e-300", "--rho-total", "0.78125", "--target", "1"],
     ],
 )
 def test_invalid_numeric_argument_exits_2(tmp_path, capsys, argv):
@@ -209,6 +227,20 @@ class TestRsSigmaFloor:
         assert run(["train", "--config", str(path), "--out", str(out)]) == 3
         assert "sigma >= 2.0" in capsys.readouterr().err
         assert not os.path.exists(str(out) + ".json")
+
+
+def test_train_with_underflowing_sigma_exits_2(tmp_path, capsys):
+    # 2 sigma0^2 underflows to 0, so the first epoch's cost has no value
+    cfg = {
+        "data": {"kind": "synth", "n": 40, "d": 2},
+        "schedule": {"kind": "uniform", "sigma0": 1e-300},
+        "train": {"clip_norm": 1.0, "max_epochs": 1, "seed": 1, "rho_total": 1.0},
+    }
+    path, out = tmp_path / "config.json", tmp_path / "run"
+    path.write_text(json.dumps(cfg))
+    assert run(["train", "--config", str(path), "--out", str(out)]) == 2
+    assert "underflow" in capsys.readouterr().err
+    assert not os.path.exists(str(out) + ".json")
 
 
 class TestTrainCommand:

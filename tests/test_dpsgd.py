@@ -8,8 +8,14 @@ from scipy.special import ndtr
 
 from dpbudget import data, dpsgd, nn, schedules
 from dpbudget.accounting import BUDGET_TOL
-from dpbudget.dpsgd import TrainConfig, _clip_factors, noisy_clipped_sum, noisy_mean_gradient, train
+from dpbudget.dpsgd import TrainConfig, _clip_factors, noisy_mean_gradient, train
 from dpbudget.errors import ConfigError, DomainError, PreconditionError
+
+
+def noisy_clipped_sum(model, x, labels, clip_norm, sigma, per_layer, rng):
+    """The release of a fresh training step on all of ``x``."""
+    step = dpsgd._TrainingStep(model, x, labels, clip_norm, per_layer)
+    return step.noisy_clipped_sum(np.arange(len(labels)), sigma, rng)
 
 
 def clip_rows(per_example: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -664,7 +670,7 @@ class TestTrainingStep:
             step(np.arange(n), 1.0, 0.1, n, np.random.default_rng(0))
             batch = step.batches[n]
             assert batch.stacked.ctypes.data % nn.CACHE_LINE == 0
-        for array in (step.examples, step.noise, step.total):
+        for array in (step.examples, step.noise):
             assert array.ctypes.data % nn.CACHE_LINE == 0
 
     def test_labels_beyond_the_outputs_rejected(self):

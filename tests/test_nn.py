@@ -71,7 +71,7 @@ class TestForward:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(37, sizes[0]))
         labels = rng.integers(0, sizes[-1], size=37)
-        loaded = nn.Forward.load(model, x)
+        loaded = nn.Columns.load(model, x)
         for _ in range(5):
             want = float(np.mean(np.argmax(nn.forward(model, x), axis=1) == labels))
             assert loaded.accuracy(labels) == want == nn.accuracy(model, x, labels)
@@ -220,6 +220,37 @@ class TestFlatStorage:
         with pytest.raises(ParseError):
             nn.load_checkpoint(str(path))
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b'{"layer_sizes": "abc"}', b'{"layer_sizes": null}', b'{"layer_sizes": 5}', b'{"layer_sizes": {"a": 1}}',
+            b"[3, 2]", b"null", b'{"sizes": [3, 2]}', b'{"layer_sizes": [-1, -1]}', b'{"layer_sizes": [9]}',
+            b'{"layer_sizes": []}', b'{"layer_sizes": [2, 0]}', b'{"layer_sizes": [3, -2]}', b'{"layer_sizes": [true, 2]}',
+            b'{"layer_sizes": [3.0, 2]}', b"\xff\xfe", b"",
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, header):
+        # no payload: the declared parameter count of most of these is 0
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(nn.CHECKPOINT_MAGIC.encode() + b"\n" + header + b"\n")
+        with pytest.raises(ParseError, match="line 2"):
+            nn.load_checkpoint(str(path))
+
+    def test_non_utf8_magic_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"\xff\xfe\n")
+        with pytest.raises(ParseError, match="line 1"):
+            nn.load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("sizes", [[0, 3], [0, 2, 1]])
+    def test_no_input_layers_load(self, tmp_path, sizes):
+        model = nn.MlpModel.init(sizes, seed=1)
+        model.params[:] = np.arange(model.n_params)
+        path = str(tmp_path / "model.ckpt")
+        nn.save_checkpoint(model, path)
+        loaded = nn.load_checkpoint(path)
+        assert loaded.layer_sizes == sizes and np.array_equal(loaded.params, model.params)
+
 
 class TestAlignedEmpty:
     @pytest.mark.parametrize("shape", [1, 7, 552, (3, 5), (158, 560)])
@@ -232,7 +263,7 @@ class TestAlignedEmpty:
 
     def test_evaluation_workspace_is_aligned(self):
         model = nn.MlpModel.init([9, 10, 20, 10, 2], seed=0)
-        loaded = nn.Forward.load(model, np.ones((560, 9)))
+        loaded = nn.Columns.load(model, np.ones((560, 9)))
         assert loaded.inputs.ctypes.data % nn.CACHE_LINE == 0
         assert nn.Columns(model, 560).stacked.ctypes.data % nn.CACHE_LINE == 0
 

@@ -378,6 +378,13 @@ class TestBoundValidation:
         with pytest.raises(DomainError):
             renyi.validate_moment_bound(**kwargs)
 
+    @pytest.mark.parametrize("q_start", [1e-13, 0.0123456789012345, 0.012])
+    def test_grid_starts_at_q_start_exactly(self, q_start):
+        grid = renyi.moment_bound_grid([4.0], q_step=0.005, q_start=q_start)
+        assert grid[0] == (q_start, 4.0)
+        # the later points are rounded to 12 decimals
+        assert grid[1:] == [(round(q_start + i * 0.005, 12), 4.0) for i in range(1, len(grid))]
+
     def test_grid_respects_ratio_cap(self):
         grid = renyi.moment_bound_grid([2.0], q_step=0.005, q_start=0.005)
         assert max(q for q, _ in grid) <= 1 / 32 + 1e-12
