@@ -161,9 +161,9 @@ def rs_eps(rho_hat: float, u_alpha: float, delta: float) -> float:
     * otherwise the cap binds and ``eps = rho_hat u_alpha
       - log(delta) / (u_alpha - 1)``.
     """
-    if rho_hat < 0.0:
+    if not rho_hat >= 0.0:  # NaN included
         raise DomainError(f"rho_hat must be nonnegative, got {rho_hat}")
-    if u_alpha <= 1.0:
+    if not u_alpha > 1.0:
         raise DomainError(f"u_alpha must exceed 1, got {u_alpha}")
     _check_delta(delta)
     # Compare in log space: the threshold exp(-rho_hat (u-1)^2) underflows

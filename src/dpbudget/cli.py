@@ -8,8 +8,9 @@ solve-k         decay-rate solving for a target training time
 validate-bound  numerical sweep of the sampled-Gaussian moment bound
 tune            private schedule selection via the exponential mechanism
 
-Exit codes: 0 success (for ``train``: budget exhausted), 2 usage error,
-3 precondition violation or infeasible target, 5 ``train`` stopped at max
+Exit codes: 0 success (for ``train``: budget exhausted), 2 usage error
+(a file that cannot be opened, decoded or written included), 3
+precondition violation or infeasible target, 5 ``train`` stopped at max
 epochs with budget left.
 """
 
@@ -370,7 +371,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv, argparse.Namespace(argv=argv))
     try:
         return args.func(args)
-    except (DomainError, UsageError, ConfigError, ParseError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (
+        DomainError, UsageError, ConfigError, ParseError, json.JSONDecodeError, UnicodeDecodeError,
+        FileNotFoundError, IsADirectoryError, NotADirectoryError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (PreconditionError, InfeasibleTargetError) as exc:

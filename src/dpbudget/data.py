@@ -58,13 +58,16 @@ def load_cancer_csv(path: str) -> Dataset:
     marked '?'.  Rows with any missing value are dropped, the id column is
     discarded, classes map to 0/1, and features are scaled to (0, 1] by the
     fixed constant 10 (data-independent, so preprocessing leaks nothing).
+    A line that is not ASCII text raises :class:`ParseError`.
     """
     features: List[List[float]] = []
     labels: List[int] = []
     total_rows = 0
     dropped = 0
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():  # a byte above 127, escaped as a lone surrogate
+                raise ParseError("not ASCII text", line=lineno)
             line = raw.strip()
             if not line:
                 continue

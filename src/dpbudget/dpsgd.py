@@ -39,7 +39,7 @@ def _clip_factors(sq_norms: np.ndarray, clip_norm: float) -> np.ndarray:
 
 
 def _noisy_clipped_sum(
-    batch: Optional[nn.Columns],
+    batch: nn.Columns,
     clip_norm: float,
     sigma: float,
     per_layer: bool,
@@ -55,8 +55,7 @@ def _noisy_clipped_sum(
     :func:`nn.backward` leaves them, and receives the sum in ``batch.total``.
     Ghost clipping: the gradient of block [W; b] is outer(ã, d), so |g_l|^2 =
     |ã|^2 |d|^2, whose factors are segment sums of squares, and the clipped
-    sum is ã.T @ (d s); no per-example gradient is formed.  With no batch (an
-    empty one) the noise is released alone, and ``noise`` is returned.
+    sum is ã.T @ (d s); no per-example gradient is formed.
     """
     if not 0.0 < clip_norm < math.inf:
         raise DomainError(f"clip_norm must be positive and finite, got {clip_norm}")
@@ -65,8 +64,6 @@ def _noisy_clipped_sum(
     # equal to rng.normal(0.0, sigma * clip_norm, size), without adding its zero mean
     rng.standard_normal(out=noise)
     noise *= sigma * clip_norm
-    if batch is None:
-        return noise
     inputs_t, signals_t, scaled_t, sq_norms = batch.inputs, batch.signals, batch.scaled, batch.input_sq
     # The scratch rows hold ã^2, then d^2, then d s.
     np.dot(batch.input_layers, np.multiply(inputs_t, inputs_t, out=batch.active), out=sq_norms)
@@ -83,28 +80,17 @@ def _noisy_clipped_sum(
 
 
 class _TrainingStep:
-    """Noisy clipped SGD steps of ``model`` on batches of one example set,
-    with every buffer allocated once.
+    """Noisy clipped SGD steps of ``model`` on batches of the examples in
+    ``loaded``, an :class:`nn.Columns` loaded with their labels, with every
+    buffer allocated once.
 
-    The examples are held as columns [one-hot labels; features; 1], so one
-    ``np.take`` gathers a batch's targets and first-layer inputs into its
-    :class:`nn.Columns`, of which there is one per batch size.  The noise is
-    drawn into ``noise`` whatever the size.
+    One ``np.take`` gathers a batch's columns of ``loaded.examples`` into
+    its workspace, of which there is one per batch size, 0 included.  The
+    noise is drawn into ``noise`` whatever the size.
     """
 
-    def __init__(self, model: nn.MlpModel, features: np.ndarray, labels: np.ndarray, clip_norm: float, per_layer: bool):
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        labels = np.atleast_1d(labels)
-        nn._check_batch(model, features)
-        n_classes = model.blocks[-1].shape[1]
-        if len(labels) and not 0 <= labels.min() <= labels.max() < n_classes:
-            raise DomainError(f"labels must be class ids below the model's {n_classes} outputs")
-        self.examples = nn.aligned_empty((n_classes + features.shape[1] + 1, len(labels)))
-        self.examples[:n_classes] = 0.0
-        self.examples[labels, np.arange(len(labels))] = 1.0
-        self.examples[n_classes:-1] = features.T
-        self.examples[-1] = 1.0
-        self.model, self.clip_norm, self.per_layer = model, clip_norm, per_layer
+    def __init__(self, model: nn.MlpModel, loaded: nn.Columns, clip_norm: float, per_layer: bool):
+        self.model, self.loaded, self.clip_norm, self.per_layer = model, loaded, clip_norm, per_layer
         self.noise = nn.aligned_empty(model.n_params)
         self.buffer = np.empty(0)
         self.batches: Dict[int, nn.Columns] = {}
@@ -127,11 +113,9 @@ class _TrainingStep:
 
     def noisy_clipped_sum(self, indices: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
         """The release on the examples ``indices``, in a buffer of this step."""
-        batch = None
-        if len(indices):
-            batch = self._batch(len(indices))
-            self.examples.take(indices, 1, batch.stacked[: len(self.examples)], "clip")
-            nn.backward(batch)
+        batch = self._batch(len(indices))
+        self.loaded.examples.take(indices, 1, batch.examples, "clip")
+        nn.backward(batch)
         return _noisy_clipped_sum(batch, self.clip_norm, sigma, self.per_layer, rng, self.noise)
 
     def __call__(self, indices: np.ndarray, sigma: float, lr: float, lot_size: float, rng: np.random.Generator) -> None:
@@ -245,7 +229,14 @@ def train(
             raise ConfigError("the validation schedule requires validation data")
         controller = ValidationController(config.schedule)
 
-    step = _TrainingStep(model, train_data.features, train_data.labels, config.clip_norm, config.per_layer_clip)
+    # each set loaded once: the training set for every batch, and all of
+    # them for the accuracies of every epoch
+    loaded = nn.Columns.load(model, train_data.features, train_data.labels)
+    evaluated = [(loaded, train_data.labels)] + [
+        None if data is None else (nn.Columns.load(model, data.features), data.labels)
+        for data in (test_data, validation_data)
+    ]
+    step = _TrainingStep(model, loaded, config.clip_norm, config.per_layer_clip)
     # rs divides by the expected lot size q n, not the sampled batch size, so
     # that the update's scale does not depend on the data.
     lot_size = None if config.q is None else config.q * n
@@ -253,12 +244,6 @@ def train(
     ledger = PrivacyLedger(config.batching)
     records: List[EpochRecord] = []
     stop_reason = "max_epochs"
-
-    # each evaluation set loaded once, for the accuracies of every epoch
-    evaluated = [
-        None if data is None else (nn.Columns.load(model, data.features), data.labels)
-        for data in (train_data, test_data, validation_data)
-    ]
 
     def snapshot(epoch: int, sigma: float) -> None:
         train_acc, test_acc, val_acc = (None if e is None else e[0].accuracy(e[1]) for e in evaluated)

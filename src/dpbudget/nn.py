@@ -104,9 +104,9 @@ class Columns:
     ``logits`` rows; ``scratch``, as many rows as the larger of inputs and
     signals, whose first rows, ``active``, a backward pass fills with
     ReLU'(z); and ``input_sq`` and ``signal_sq``, one row per layer for the
-    squared norms of its inputs and of its signals.  The first ``n_classes +
-    fan_in + 1`` rows are the batch's [one-hot labels; features; 1], which
-    is all a pass reads.  ``total``, one vector in ``model.params`` order,
+    squared norms of its inputs and of its signals.  Its first rows,
+    ``examples``, are the batch's [one-hot labels; features; 1], which is
+    all a pass reads.  ``total``, one vector in ``model.params`` order,
     follows the rows; its block l is ``layer_inputs[l] @ scaled_blocks[l]``.
     All of it is the first ``size(model, n)`` elements of ``buffer``, a flat
     float64 array, if one is given, so that workspaces for several batch
@@ -125,6 +125,7 @@ class Columns:
         self.stacked = buffer[: rows * n].reshape(rows, n)
         self.targets, self.inputs, self.signals, self.scratch, squares = np.split(self.stacked, list(accumulate(heights[:-1])))
         self.input_sq, self.signal_sq = squares.reshape(2, len(blocks), n)
+        self.examples = self.stacked[: len(self.targets) + len(blocks[0])]
         self.active = self.scratch[: len(self.inputs)]
         self.scaled = self.scratch[: len(self.signals)]
         self.total = buffer[rows * n : rows * n + model.n_params]
@@ -164,12 +165,24 @@ class Columns:
         return sum(Columns._heights(model)) * n + model.n_params
 
     @staticmethod
-    def load(model: MlpModel, x: np.ndarray) -> "Columns":
-        """``x`` (rows = examples) as the first-layer inputs of a new workspace."""
+    def load(model: MlpModel, x: np.ndarray, labels: Optional[np.ndarray] = None) -> "Columns":
+        """A new workspace with ``x`` (rows = examples) and, if given, the
+        one-hot ``labels`` in its ``examples`` rows.  A width other than the
+        model's fan-in, or labels that are not one integer class id below
+        its outputs per example, raise :class:`DomainError`."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        _check_batch(model, x)
+        if x.shape[1] != len(model.weights[0]):
+            raise DomainError(f"input dimension {x.shape[1]} does not match model fan-in {len(model.weights[0])}")
         loaded = Columns(model, len(x))
         loaded.inputs[: x.shape[1]] = x.T
+        if labels is not None:
+            labels, n_classes = np.atleast_1d(labels), len(loaded.targets)
+            if labels.shape != (len(x),) or len(x) and not (
+                labels.dtype.kind in "iu" and 0 <= labels.min() <= labels.max() < n_classes
+            ):
+                raise DomainError(f"labels must be one per example, class ids below the model's {n_classes} outputs")
+            loaded.targets.fill(0.0)
+            loaded.targets[labels, np.arange(len(x))] = 1.0
         return loaded
 
     def fill_ones(self) -> None:
@@ -197,21 +210,11 @@ def _forward(cols: Columns) -> np.ndarray:
     return np.dot(block_t, a, out=cols.logits)
 
 
-def _check_batch(model: MlpModel, x: np.ndarray) -> None:
-    if x.shape[1] != model.weights[0].shape[0]:
-        raise DomainError(
-            f"input dimension {x.shape[1]} does not match model fan-in {model.weights[0].shape[0]}"
-        )
-
-
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     """Logits for a single feature vector or a batch (rows = examples)."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     logits = _forward(Columns.load(model, x)).T
-    return logits[0] if single else logits
+    return logits[0] if x.ndim == 1 else logits
 
 
 def _softmax(z: np.ndarray, axis: int) -> np.ndarray:
@@ -271,9 +274,7 @@ def per_example_gradients(model: MlpModel, x: np.ndarray, labels: np.ndarray) ->
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if len(x) == 0:
         raise DomainError("per-example gradients require a nonempty batch")
-    cols = Columns.load(model, x)
-    cols.targets.fill(0.0)
-    cols.targets[np.atleast_1d(labels), np.arange(len(x))] = 1.0
+    cols = Columns.load(model, x, labels)
     backward(cols)
     grads: List[np.ndarray] = []
     for inputs, signals in zip(cols.layer_inputs, cols.layer_signals):

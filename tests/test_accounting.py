@@ -57,6 +57,11 @@ class TestZcdpToDp:
             with pytest.raises(DomainError):
                 accounting.zcdp_to_dp(0.1, delta)
 
+    @pytest.mark.parametrize("rho", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_rho(self, rho):
+        with pytest.raises(DomainError, match="rho must be"):
+            accounting.zcdp_to_dp(rho, 1e-5)
+
 
 class TestClassicGaussian:
     def test_sigma6(self):
@@ -125,6 +130,24 @@ class TestRsConversion:
         assert interior == pytest.approx(capped, rel=1e-9)
         assert accounting.rs_eps(rho_hat, u, delta) == pytest.approx(interior, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "rho_hat,u_alpha,message",
+        [(-1.0, 10.0, "rho_hat"), (math.nan, 10.0, "rho_hat"), (0.1, 1.0, "u_alpha"), (0.1, math.nan, "u_alpha")],
+    )
+    def test_rejects_bad_inputs(self, rho_hat, u_alpha, message):
+        # NaN fails every comparison, so a check written as `x < 0` lets it through
+        with pytest.raises(DomainError, match=message):
+            accounting.rs_eps(rho_hat, u_alpha, 1e-5)
+
+    def test_infinite_order_cap_allowed(self):
+        # the cap of an rs ledger with no steps: the interior branch always holds
+        assert accounting.rs_eps(0.1, math.inf, 1e-5) == accounting.zcdp_to_dp(0.1, 1e-5).eps
+
+    @pytest.mark.parametrize("q,sigma,message", [(0.0, 4.0, "q must lie"), (1.0, 4.0, "q must lie"), (0.5, 4.0, "q \\* sigma")])
+    def test_order_cap_domain(self, q, sigma, message):
+        with pytest.raises(DomainError, match=message):
+            accounting.rs_order_cap(q, sigma)
+
 
 class TestRfLedger:
     def test_uniform_budget_row(self):
@@ -181,6 +204,10 @@ class TestRsLedger:
     @pytest.mark.parametrize("mode", ["rf", "rs"])
     def test_empty_ledger_reports_zero_eps(self, mode):
         assert PrivacyLedger(mode).to_dp(1e-5) == EpsDelta(0.0, 1e-5)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(UsageError, match="'rf' or 'rs'"):
+            PrivacyLedger("xs")
 
     def test_heterogeneous_order_cap_is_min(self):
         ledger = PrivacyLedger("rs")

@@ -514,6 +514,10 @@ TUNE_MANIFEST = {
             id="data-path-not-string",
         ),
         pytest.param(
+            "train", {**TRAIN_CONFIG, "data": {"kind": "mnist", "n": 40}}, "data must be a JSON object of kind",
+            id="data-kind-mnist",
+        ),
+        pytest.param(
             "tune", {k: v for k, v in TUNE_MANIFEST.items() if k != "data"}, "requires keys: ['data']",
             id="tune-without-data",
         ),
@@ -643,3 +647,36 @@ class TestUsageErrors:
 
     def test_missing_file(self, tmp_path, capsys):
         assert run(["train", "--config", str(tmp_path / "none.json"), "--out", "x"]) == 2
+
+    def test_non_ascii_data_file_exits_2(self, tmp_path, capsys):
+        data_path = tmp_path / "cancer.data"
+        data_path.write_bytes(b"1000025,5,1,1,1,2,1,3,1,1,2\n\xff\n")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**TRAIN_CONFIG, "data": {"kind": "cancer", "path": str(data_path)}}))
+        assert run(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: line 2: not ASCII text\n"
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize(
+        "case",
+        ["config-not-utf8", "manifest-not-utf8", "config-is-dir", "out-is-dir", "out-under-file",
+         "checkpoint-is-dir", "checkpoint-under-file"],
+    )
+    def test_path_that_cannot_be_read_or_written_exits_2(self, tmp_path, capsys, case):
+        config, undecodable, regular = tmp_path / "run.json", tmp_path / "latin1.json", tmp_path / "file"
+        config.write_text(json.dumps(TRAIN_CONFIG))
+        undecodable.write_bytes(b'{"data": "\xff"}')
+        regular.write_text("")
+        train = ["train", "--config", str(config), "--out", str(tmp_path / "run")]
+        argv = {
+            "config-not-utf8": ["train", "--config", str(undecodable), "--out", str(tmp_path / "run")],
+            "manifest-not-utf8": ["tune", "--manifest", str(undecodable), "--out", str(tmp_path / "sel.json")],
+            "config-is-dir": ["train", "--config", str(tmp_path), "--out", str(tmp_path / "run")],
+            "out-is-dir": ["account", "--epochs", "2", "--out", str(tmp_path)],
+            "out-under-file": ["account", "--epochs", "2", "--out", str(regular / "curves.csv")],
+            "checkpoint-is-dir": [*train, "--checkpoint", str(tmp_path)],
+            "checkpoint-under-file": [*train, "--checkpoint", str(regular / "model.ckpt")],
+        }[case]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -47,6 +47,33 @@ class TestCancerLoader:
                 data.load_cancer_csv(str(path))
             assert fragment in str(err.value)
 
+    def test_non_ascii_line_reported(self, tmp_path):
+        path = tmp_path / "bad.data"
+        path.write_bytes(b"1000025,5,1,1,1,2,1,3,1,1,2\n1002945,5,4,4,5,7,\xff,3,2,1,2\n")
+        with pytest.raises(ParseError, match="line 2: not ASCII text"):
+            data.load_cancer_csv(str(path))
+
+    def test_no_usable_rows(self, tmp_path):
+        path = tmp_path / "missing.data"
+        path.write_text("1002945,5,4,4,5,7,?,3,2,1,2\n\n")
+        with pytest.raises(ParseError, match="no usable rows"):
+            data.load_cancer_csv(str(path))
+
+
+class TestDataset:
+    @pytest.mark.parametrize(
+        "features,labels,message",
+        [
+            (np.ones((3, 2)), np.zeros(2), "one label per row"),
+            (np.array([[math.nan, 1.0]]), np.zeros(1), "non-finite"),
+            (np.ones((1, 2)), np.array([-1]), "nonnegative class ids"),
+        ],
+        ids=["mismatched-rows", "nan-feature", "label-minus-one"],
+    )
+    def test_bad_input_rejected(self, features, labels, message):
+        with pytest.raises(DomainError, match=message):
+            data.Dataset(features, labels)
+
 
 class TestSplit:
     def test_reproducible_and_disjoint(self, cancer_file):
@@ -76,6 +103,11 @@ class TestRfBatches:
         joined = np.concatenate(batches)
         assert len(joined) == n
         assert np.array_equal(np.sort(joined), np.arange(n))
+
+    @pytest.mark.parametrize("batch", [0, 6])
+    def test_batch_size_outside_one_to_n_rejected(self, batch):
+        with pytest.raises(DomainError, match="batch_size must lie in 1..5"):
+            data.rf_batches(5, batch, np.random.default_rng(0))
 
     def test_full_batch_mode(self):
         batches = data.rf_batches(560, 560, np.random.default_rng(1))
@@ -182,3 +214,8 @@ class TestSynthBlobs:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             data.synth_blobs(0, 2, 2, seed=0)
+
+    @pytest.mark.parametrize("d,n_classes", [(0, 2), (2, 1)])
+    def test_degenerate_shape_rejected(self, d, n_classes):
+        with pytest.raises(DomainError, match="d >= 1 and at least two classes"):
+            data.synth_blobs(10, d, n_classes, seed=0)

@@ -14,7 +14,7 @@ from dpbudget.errors import ConfigError, DomainError, PreconditionError
 
 def noisy_clipped_sum(model, x, labels, clip_norm, sigma, per_layer, rng):
     """The release of a fresh training step on all of ``x``."""
-    step = dpsgd._TrainingStep(model, x, labels, clip_norm, per_layer)
+    step = dpsgd._TrainingStep(model, nn.Columns.load(model, x, labels), clip_norm, per_layer)
     return step.noisy_clipped_sum(np.arange(len(labels)), sigma, rng)
 
 
@@ -109,6 +109,10 @@ class TestNoisyMeanGradient:
     def test_empty_batch_rejected(self):
         with pytest.raises(DomainError):
             noisy_mean_gradient(np.empty((0, 3)), 1.0, 1.0, 1, np.random.default_rng(0))
+
+    def test_nonpositive_batch_size_rejected(self):
+        with pytest.raises(DomainError, match="batch_size must be positive"):
+            noisy_mean_gradient(np.ones((2, 3)), 1.0, 1.0, 0, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "clip_norm,sigma",
@@ -599,8 +603,8 @@ class TestMatchesPerExampleUpdate:
             """Stands in for the trainer's step: the per-example oracle on
             every batch it is given."""
 
-            def __init__(self, model, features, labels, clip_norm, per_layer):
-                self.model, self.features, self.labels = model, features, labels
+            def __init__(self, model, loaded, clip_norm, per_layer):
+                self.model, self.features, self.labels = model, ds.features, ds.labels
                 self.clip_norm, self.per_layer = clip_norm, per_layer
 
             def __call__(self, indices, sigma, lr, lot_size, rng):
@@ -651,7 +655,7 @@ class TestTrainingStep:
         x = data_rng.normal(size=(n, sizes[0]))
         labels = data_rng.integers(0, sizes[-1], size=n)
         clip_norm, lr, lot_size = 0.7, 0.3, 0.4 * n
-        step = dpsgd._TrainingStep(model, x, labels, clip_norm, per_layer)
+        step = dpsgd._TrainingStep(model, nn.Columns.load(model, x, labels), clip_norm, per_layer)
         # each size comes back after the others, with 0 and n among them
         batch_sizes = [min(b, n) for b in drawn] + [0, n]
         batch_sizes += batch_sizes[::-1]
@@ -665,24 +669,55 @@ class TestTrainingStep:
 
     def test_buffers_start_cache_lines(self):
         model = nn.MlpModel.init([9, 10, 20, 10, 2], seed=0)
-        step = dpsgd._TrainingStep(model, np.ones((560, 9)), np.zeros(560, dtype=int), 1.0, False)
+        step = dpsgd._TrainingStep(model, nn.Columns.load(model, np.ones((560, 9)), np.zeros(560, dtype=int)), 1.0, False)
         for n in (560, 140, 6):
             step(np.arange(n), 1.0, 0.1, n, np.random.default_rng(0))
             batch = step.batches[n]
             assert batch.stacked.ctypes.data % nn.CACHE_LINE == 0
-        for array in (step.examples, step.noise):
+        for array in (step.loaded.examples, step.noise):
             assert array.ctypes.data % nn.CACHE_LINE == 0
+
+    @pytest.mark.parametrize("per_layer", [False, True])
+    def test_empty_batch_releases_the_noise_alone(self, per_layer):
+        # after a nonempty batch, so that the shared buffer holds its values
+        model = nn.MlpModel.init([9, 10, 20, 10, 2], seed=0)
+        rng = np.random.default_rng(1)
+        x, labels = rng.normal(size=(30, 9)), rng.integers(0, 2, size=30)
+        step = dpsgd._TrainingStep(model, nn.Columns.load(model, x, labels), 0.7, per_layer)
+        step.noisy_clipped_sum(np.arange(30), 1.3, rng)
+        state = rng.bit_generator.state
+        got = step.noisy_clipped_sum(np.arange(0), 1.3, rng)
+        replay = np.random.default_rng()
+        replay.bit_generator.state = state
+        assert got.tobytes() == (replay.standard_normal(model.n_params) * (1.3 * 0.7)).tobytes()
 
     def test_labels_beyond_the_outputs_rejected(self):
         model = nn.MlpModel.init([2, 3, 2], seed=0)
-        with pytest.raises(DomainError, match="class ids below the model's 2 outputs"):
-            noisy_clipped_sum(model, np.ones((3, 2)), np.array([0, 1, 2]), 1.0, 1.0, False, np.random.default_rng(0))
+        for bad in (-1, 2):
+            with pytest.raises(DomainError, match="class ids below the model's 2 outputs"):
+                noisy_clipped_sum(model, np.ones((3, 2)), np.array([0, 1, bad]), 1.0, 1.0, False, np.random.default_rng(0))
 
 
 class TestConfigValidation:
     def test_missing_budget(self):
         with pytest.raises(ConfigError):
             TrainConfig(schedule=schedules.uniform(8.0), clip_norm=1.0, max_epochs=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "fields,message",
+        [
+            ({"batching": "xs", "rho_total": 3.0}, "batching must be 'rf' or 'rs'"),
+            ({"clip_norm": 0.0, "rho_total": 3.0}, "clip_norm must be positive"),
+            ({"delta": 0.0, "rho_total": 3.0}, "delta must lie in"),
+            ({"delta": 1.0, "rho_total": 3.0}, "delta must lie in"),
+            ({"batching": "rs", "q": 0.01}, "requires an eps_total budget"),
+        ],
+        ids=["batching-xs", "clip-0", "delta-0", "delta-1", "rs-without-eps_total"],
+    )
+    def test_invalid_values_rejected(self, fields, message):
+        common = {"schedule": schedules.uniform(8.0), "clip_norm": 1.0, "max_epochs": 1, "seed": 0}
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**{**common, **fields})
 
     def test_rs_requires_q(self):
         with pytest.raises(ConfigError):

@@ -133,7 +133,31 @@ class TestPerExampleGradients:
             nn.per_example_gradients(model, np.empty((0, 4)), np.empty(0, dtype=int))
 
 
+class TestLoad:
+    def test_example_rows_are_one_hot_features_and_ones(self):
+        model = nn.MlpModel.init([4, 5, 3], seed=0)
+        x, labels = np.random.default_rng(1).normal(size=(6, 4)), np.array([0, 2, 1, 2, 0, 0])
+        want = np.vstack([np.eye(3)[labels].T, x.T, np.ones((1, 6))])
+        assert np.array_equal(nn.Columns.load(model, x, labels).examples, want)
+        assert nn.Columns.load(model, x[:0], labels[:0]).examples.shape == (8, 0)
+
+    @pytest.mark.parametrize(
+        "labels", [[0, -1, 1], [0, 3, 1], [0, 1], [[0, 1, 2]], [0.0, 1.0, 2.0]], ids=["-1", "n_classes", "short", "2-d", "float"]
+    )
+    def test_bad_labels_rejected(self, labels):
+        # unchecked, -1 would index the last class and n_classes raise IndexError
+        model = nn.MlpModel.init([4, 5, 3], seed=0)
+        for load in (nn.Columns.load, nn.per_example_gradients):
+            with pytest.raises(DomainError, match="class ids below the model's 3 outputs"):
+                load(model, np.ones((3, 4)), np.array(labels))
+
+
 class TestSgdStep:
+    def test_short_gradient_list_rejected(self):
+        model = nn.MlpModel.init([3, 4, 2], seed=0)
+        with pytest.raises(DomainError, match="does not match the model's parameter list"):
+            nn.sgd_step(model, [np.zeros((3, 4)), np.zeros(4)], 0.1)
+
     def test_zero_eta_no_change(self):
         model = nn.MlpModel.init([3, 2], seed=0)
         before = [w.copy() for w in model.weights]
@@ -280,6 +304,23 @@ class TestInit:
         limit = math.sqrt(6.0 / 150.0)
         assert np.all(np.abs(model.weights[0]) <= limit)
         assert np.all(model.biases[0] == 0.0)
+
+    @pytest.mark.parametrize(
+        "weights,biases,message",
+        [
+            ([], [], "nonempty and aligned"),
+            ([np.zeros((2, 3))], [], "nonempty and aligned"),
+            ([np.zeros((2, 3))], [np.zeros(2)], "inconsistent shapes"),
+        ],
+        ids=["empty", "misaligned", "inconsistent"],
+    )
+    def test_bad_layers_rejected(self, weights, biases, message):
+        with pytest.raises(DomainError, match=message):
+            nn.MlpModel(weights, biases)
+
+    def test_init_needs_an_input_and_an_output_size(self):
+        with pytest.raises(DomainError, match="input and an output size"):
+            nn.MlpModel.init([3], seed=0)
 
     def test_chain_validation(self):
         with pytest.raises(DomainError):

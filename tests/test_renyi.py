@@ -271,6 +271,10 @@ class TestMomentsAccountant:
         eps = renyi.moments_accountant_eps(0.01, 6.0, 0, 1e-5).eps
         assert eps == pytest.approx(math.log(1e5) / lmax, rel=1e-12)
 
+    def test_negative_steps_rejected(self):
+        with pytest.raises(DomainError, match="steps must be nonnegative"):
+            renyi.moments_accountant_eps(0.01, 6.0, -1, 1e-5)
+
     def test_default_lambda_max(self):
         assert renyi.default_lambda_max(0.01, 6.0) == 102
         assert renyi.default_lambda_max(0.005, 30.0) == 200  # capped

@@ -90,6 +90,14 @@ class TestScheduleValidation:
         with pytest.raises(ConfigError):
             NoiseSchedule("nope", 10.0)
 
+    def test_nonpositive_sigma0_rejected(self):
+        with pytest.raises(ConfigError, match="sigma0 must be positive"):
+            NoiseSchedule("uniform", 0.0)
+
+    def test_validation_without_threshold_rejected(self):
+        with pytest.raises(ConfigError, match="improvement threshold"):
+            NoiseSchedule("validation", 10.0, k=0.7, period=4, m=2)
+
     @pytest.mark.parametrize(
         "sched,want",
         [
@@ -285,6 +293,13 @@ def _schedule_with_k(kind, k):
 
 
 class TestSolveDecayRate:
+    @pytest.mark.parametrize(
+        "kind,target,message", [("uniform", 60, "kind must be one of"), ("exp", 0, "target_epochs must be at least 1")]
+    )
+    def test_bad_kind_or_target_rejected(self, kind, target, message):
+        with pytest.raises(ConfigError, match=message):
+            solve_decay_rate(kind, 10.0, BUDGET, target)
+
     def test_exp_target_60(self):
         assert solve_decay_rate("exp", 10.0, BUDGET, 60) == pytest.approx(0.0138, abs=1e-12)
 
