@@ -156,8 +156,9 @@ def rs_eps(rho_hat: float, u_alpha: float, delta: float) -> float:
     With divergence bounded by ``alpha * rho_hat`` for orders
     ``1 < alpha <= u_alpha``:
 
-    * if ``delta >= exp(-rho_hat (u_alpha - 1)^2)`` the optimal order is
-      interior and ``eps = rho_hat + 2 sqrt(rho_hat log(1/delta))``;
+    * if ``rho_hat`` is 0 or ``delta >= exp(-rho_hat (u_alpha - 1)^2)`` the
+      optimal order is interior and ``eps = rho_hat + 2 sqrt(rho_hat
+      log(1/delta))``, which is 0 for no spend;
     * otherwise the cap binds and ``eps = rho_hat u_alpha
       - log(delta) / (u_alpha - 1)``.
     """
@@ -167,10 +168,18 @@ def rs_eps(rho_hat: float, u_alpha: float, delta: float) -> float:
         raise DomainError(f"u_alpha must exceed 1, got {u_alpha}")
     _check_delta(delta)
     # Compare in log space: the threshold exp(-rho_hat (u-1)^2) underflows
-    # long before the branch decision stops mattering.
-    if math.log(delta) >= -rho_hat * (u_alpha - 1.0) ** 2:
+    # long before the branch decision stops mattering.  No spend is tested
+    # apart, as 0 * inf is NaN.
+    if rho_hat == 0.0 or math.log(delta) >= -rho_hat * (u_alpha - 1.0) ** 2:
         return rho_hat + 2.0 * math.sqrt(rho_hat * math.log(1.0 / delta))
     return rho_hat * u_alpha - math.log(delta) / (u_alpha - 1.0)
+
+
+def rf_refuses(total: float, budget: float) -> bool:
+    """The rf admission rule: whether a running zCDP ``total`` exceeds
+    ``budget`` by more than :data:`BUDGET_TOL`.  :class:`PrivacyLedger` and the
+    exhaustion horizon of :mod:`dpbudget.schedules` both stop at it."""
+    return total > budget + BUDGET_TOL
 
 
 def _check_admission(budget: float, releases: int) -> None:
@@ -216,7 +225,7 @@ class PrivacyLedger:
         for _ in range(releases):
             total += step.cost
         if self.mode == "rf":
-            if budget is not None and total > budget + BUDGET_TOL:
+            if budget is not None and rf_refuses(total, budget):
                 return False
             self.rho_sum = total
         else:

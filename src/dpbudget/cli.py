@@ -17,10 +17,12 @@ epochs with budget left.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -50,6 +52,21 @@ def _manifest(args: argparse.Namespace, seed: Optional[int] = None) -> dict:
     if seed is not None:
         record["seed"] = seed
     return record
+
+
+def _check_writable(*paths: str) -> None:
+    """Raise the ``OSError`` that writing each of ``paths`` would meet from a
+    directory in its place, a parent directory that is missing or is not one,
+    or a lack of write permission, without creating anything, so that a
+    command refuses the outputs it writes after training before it trains."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        parent = os.path.dirname(path) or "."
+        if not stat.S_ISDIR(os.stat(parent).st_mode):  # a missing parent raises here
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+        if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def _write_text(path: str, text: str, encoding: str) -> None:
@@ -201,6 +218,7 @@ def _read_data(spec: object) -> CancerData | SynthData:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    _check_writable(args.out + ".csv", args.out + ".json", *([args.checkpoint] if args.checkpoint else []))
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = config_from_json(RunConfig, args.config, json.load(fh))
     schedule = schedules.NoiseSchedule.from_dict(cfg.schedule)
@@ -290,6 +308,7 @@ def _cmd_validate_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
+    _check_writable(args.out)
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = config_from_json(TuneManifest, args.manifest, json.load(fh))
     dataset = _read_data(manifest.data).load()
@@ -373,7 +392,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (
         DomainError, UsageError, ConfigError, ParseError, json.JSONDecodeError, UnicodeDecodeError,
-        FileNotFoundError, IsADirectoryError, NotADirectoryError,
+        FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

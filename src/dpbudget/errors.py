@@ -5,6 +5,7 @@ The CLI maps these onto exit codes; see ``dpbudget.cli``.
 """
 
 import dataclasses
+import functools
 import math
 import numbers
 
@@ -29,6 +30,21 @@ class ConfigError(ValueError):
     """A schedule or run configuration is internally inconsistent."""
 
 
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+
+
+@functools.cache
+def _checked_fields(cls) -> tuple:
+    """``(name, kind, optional)`` of each field of the dataclass ``cls`` that
+    :func:`check_config_fields` checks, in declaration order."""
+    checked = []
+    for f in dataclasses.fields(cls):
+        kind = _FIELD_KINDS.get(f.type.removeprefix("Optional[").rstrip("]"))
+        if kind is not None:
+            checked.append((f.name, kind, f.type.startswith("Optional[")))
+    return tuple(checked)
+
+
 def check_config_fields(config, section: str = "") -> None:
     """Raise :class:`ConfigError` unless every field of the dataclass
     ``config`` annotated ``int``, ``float``, ``bool`` or ``str`` holds a
@@ -36,24 +52,22 @@ def check_config_fields(config, section: str = "") -> None:
     ``int``), a boolean or a string.  ``None`` is accepted only where the
     annotation is ``Optional``.  The message names the field as
     ``section.field`` if ``section`` is given."""
-    for f in dataclasses.fields(config):
-        optional = f.type.startswith("Optional[")
-        kind = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}.get(
-            f.type.removeprefix("Optional[").rstrip("]")
-        )
-        value = getattr(config, f.name)
-        if kind is None or (optional and value is None):
+    for field_name, kind, optional in _checked_fields(type(config)):
+        value = getattr(config, field_name)
+        if optional and value is None:
             continue
-        name = f"{section}.{f.name}" if section else f.name
+        if kind is bool or kind is str:
+            if isinstance(value, kind):
+                continue
+        elif not isinstance(value, bool) and isinstance(value, kind) and 0 <= value < math.inf:
+            continue
+        name = f"{section}.{field_name}" if section else field_name
         if kind is bool:
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name} must be true or false, got {value!r}")
-        elif kind is str:
-            if not isinstance(value, str):
-                raise ConfigError(f"{name} must be a string, got {value!r}")
-        elif isinstance(value, bool) or not isinstance(value, kind) or not 0 <= value < math.inf:
-            noun = "integer" if kind is numbers.Integral else "number"
-            raise ConfigError(f"{name} must be a finite nonnegative {noun}, got {value!r}")
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
+        if kind is str:
+            raise ConfigError(f"{name} must be a string, got {value!r}")
+        noun = "integer" if kind is numbers.Integral else "number"
+        raise ConfigError(f"{name} must be a finite nonnegative {noun}, got {value!r}")
 
 
 def config_from_json(cls, section: str, value, **supplied):

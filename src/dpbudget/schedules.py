@@ -23,10 +23,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field, fields
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .errors import ConfigError, InfeasibleTargetError, UsageError, check_config_fields, config_from_json
-from .accounting import PrivacyLedger
+from .accounting import gaussian_rho, rf_refuses
 
 DECAY_KINDS = ("time", "exp", "step", "poly")
 # Every kind, with the optional keys it reads; the others must be left unset.
@@ -54,8 +54,7 @@ class NoiseSchedule:
         check_config_fields(self)
         if self.kind not in _KIND_KEYS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        optional = [f.name for f in fields(self)[2:]]  # all but kind and sigma0
-        unread = [key for key in optional if getattr(self, key) is not None and key not in _KIND_KEYS[self.kind]]
+        unread = [key for key in _OPTIONAL_KEYS if getattr(self, key) is not None and key not in _KIND_KEYS[self.kind]]
         if unread:
             raise ConfigError(f"{self.kind} schedules do not read {unread}")
         if self.sigma0 <= 0.0:
@@ -85,6 +84,9 @@ class NoiseSchedule:
         return config_from_json(NoiseSchedule, "schedule", d)
 
 
+_OPTIONAL_KEYS = tuple(f.name for f in fields(NoiseSchedule)[2:])  # all but kind and sigma0
+
+
 def uniform(sigma0: float) -> NoiseSchedule:
     return NoiseSchedule("uniform", sigma0)
 
@@ -109,25 +111,29 @@ def validation_decay(sigma0: float, k: float, period: int, delta_thresh: float, 
     return NoiseSchedule("validation", sigma0, k=k, period=period, delta_thresh=delta_thresh, m=m)
 
 
+def _sigma_formula(schedule: NoiseSchedule) -> Callable[[int], float]:
+    """``t -> sigma_t`` for a deterministic schedule, its kind read once."""
+    kind, sigma0, k, period, sigma_end = schedule.kind, schedule.sigma0, schedule.k, schedule.period, schedule.sigma_end
+    if kind == "uniform":
+        return lambda t: sigma0
+    if kind in ("time", "exp"):
+        period = period or 1  # per epoch: t // 1 == t
+        if kind == "time":
+            return lambda t: sigma0 / (1.0 + k * (t // period))
+        return lambda t: sigma0 * math.exp(-k * (t // period))
+    if kind == "step":
+        return lambda t: sigma0 * k ** (t // period)
+    # poly: constant after the decay horizon
+    return lambda t: sigma_end if t >= period else (sigma0 - sigma_end) * (1.0 - t / period) ** k + sigma_end
+
+
 def sigma_at(schedule: NoiseSchedule, t: int) -> float:
     """Noise scale of epoch ``t`` for a deterministic schedule."""
     if t < 0:
         raise ConfigError(f"epoch index must be nonnegative, got {t}")
     if schedule.kind == "validation":
         raise UsageError("validation schedules are stateful; use ValidationController")
-    if schedule.kind == "uniform":
-        return schedule.sigma0
-    if schedule.kind in ("time", "exp"):
-        u = t if schedule.period is None else t // schedule.period
-        if schedule.kind == "time":
-            return schedule.sigma0 / (1.0 + schedule.k * u)
-        return schedule.sigma0 * math.exp(-schedule.k * u)
-    if schedule.kind == "step":
-        return schedule.sigma0 * schedule.k ** (t // schedule.period)
-    # poly: constant after the decay horizon
-    if t >= schedule.period:
-        return schedule.sigma_end
-    return (schedule.sigma0 - schedule.sigma_end) * (1.0 - t / schedule.period) ** schedule.k + schedule.sigma_end
+    return _sigma_formula(schedule)(t)
 
 
 @dataclass
@@ -171,20 +177,23 @@ class ValidationController:
 def epochs_until_exhaustion(schedule: NoiseSchedule, rho_total: float, max_epochs: int = 1_000_000) -> int:
     """Largest E such that the first E epochs fit within ``rho_total``.
 
-    Epoch t is admitted to an rf :class:`PrivacyLedger` at ``sigma_t`` until
-    one is refused, by the rule that stops training, so the count is exactly
-    the number of epochs a budget-checked run with whole-model clipping executes.
+    Epoch t costs ``gaussian_rho(sigma_t)``, added to a running total that
+    stops at the first epoch :func:`~dpbudget.accounting.rf_refuses`: the
+    cost, sum and rule by which an rf :class:`PrivacyLedger` stops training,
+    so the count is exactly the number of epochs a budget-checked run with
+    whole-model clipping executes.
     """
     if schedule.kind == "validation":
         raise UsageError("exhaustion horizon is undefined for data-dependent schedules")
     if not 0.0 <= rho_total < math.inf:
         raise ConfigError(f"rho_total must be finite and nonnegative, got {rho_total}")
-    ledger = PrivacyLedger("rf")
-    epoch = 0
-    while epoch < max_epochs and ledger.admit(sigma_at(schedule, epoch), rho_total):
-        ledger.steps.clear()  # an rf admission reads only the running total
-        epoch += 1
-    return epoch
+    sigma = _sigma_formula(schedule)
+    total = 0.0
+    for epoch in range(max_epochs):
+        total += gaussian_rho(sigma(epoch))
+        if rf_refuses(total, rho_total):
+            return epoch
+    return max(max_epochs, 0)
 
 
 def solve_decay_rate(

@@ -143,6 +143,12 @@ class TestRsConversion:
         # the cap of an rs ledger with no steps: the interior branch always holds
         assert accounting.rs_eps(0.1, math.inf, 1e-5) == accounting.zcdp_to_dp(0.1, 1e-5).eps
 
+    @pytest.mark.parametrize("u_alpha", [math.inf, 1e12, 50.0, 1.5])
+    def test_zero_spend_is_zero_eps(self, u_alpha):
+        # no spend releases nothing: the interior branch, not the capped one's
+        # -log(delta)/(u-1), and no NaN from 0 * inf at an infinite cap
+        assert accounting.rs_eps(0.0, u_alpha, 1e-5) == 0.0
+
     @pytest.mark.parametrize("q,sigma,message", [(0.0, 4.0, "q must lie"), (1.0, 4.0, "q must lie"), (0.5, 4.0, "q \\* sigma")])
     def test_order_cap_domain(self, q, sigma, message):
         with pytest.raises(DomainError, match=message):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import dpbudget
-from dpbudget import __version__, accounting, cli, data, nn, renyi, schedules
+from dpbudget import __version__, accounting, cli, data, errors, nn, renyi, schedules
 from dpbudget.dpsgd import TrainConfig
+from dpbudget.errors import ConfigError
 from dpbudget.schedules import NoiseSchedule
 
 
@@ -680,3 +681,74 @@ class TestUsageErrors:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command,case",
+        [("train", "out-under-file"), ("train", "out-in-missing-dir"), ("train", "checkpoint-under-file"),
+         ("train", "checkpoint-is-dir"), ("train", "checkpoint-in-missing-dir"), ("tune", "out-under-file")],
+    )
+    def test_unwritable_output_refused_before_training(self, tmp_path, capsys, monkeypatch, command, case):
+        def never(*args, **kwargs):
+            raise AssertionError("trained before its outputs were checked")
+
+        monkeypatch.setattr(cli.dpsgd, "train", never)
+        regular = tmp_path / "file"
+        regular.write_text("")
+        bad = {"out-under-file": regular / "out", "out-in-missing-dir": tmp_path / "none" / "out",
+               "checkpoint-under-file": regular / "m.ckpt", "checkpoint-is-dir": tmp_path,
+               "checkpoint-in-missing-dir": tmp_path / "none" / "m.ckpt"}[case]
+        out = tmp_path / "run" if case.startswith("checkpoint") else bad
+        if command == "train":
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(TRAIN_CONFIG))
+            argv = ["train", "--config", str(config), "--out", str(out)]
+            argv += ["--checkpoint", str(bad)] if case.startswith("checkpoint") else []
+        else:
+            manifest = tmp_path / "tune.json"
+            manifest.write_text(json.dumps(TUNE_MANIFEST))
+            argv = ["tune", "--manifest", str(manifest), "--out", str(out)]
+        before = sorted(tmp_path.iterdir())
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+
+
+class TestConfigFieldKinds:
+    """A dataclass's field kinds are read once and kept: its first and its
+    second construction with a bad value give the same ConfigError text."""
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: NoiseSchedule(3, 10.0), "kind must be a string, got 3"),
+            (lambda: NoiseSchedule("exp", "10"), "sigma0 must be a finite nonnegative number, got '10'"),
+            (lambda: NoiseSchedule("exp", 10.0, k=-0.5), "k must be a finite nonnegative number, got -0.5"),
+            (lambda: NoiseSchedule("step", 10.0, k=0.5, period=2.5), "period must be a finite nonnegative integer, got 2.5"),
+            (lambda: TrainConfig(NoiseSchedule("uniform", 4.0), 1.0, -1, 0, rho_total=1.0),
+             "max_epochs must be a finite nonnegative integer, got -1"),
+            (lambda: TrainConfig(NoiseSchedule("uniform", 4.0), math.nan, 1, 0, rho_total=1.0),
+             "clip_norm must be a finite nonnegative number, got nan"),
+            (lambda: TrainConfig(NoiseSchedule("uniform", 4.0), 1.0, 1, 0, rho_total=1.0, per_layer_clip=1),
+             "per_layer_clip must be true or false, got 1"),
+            (lambda: TrainConfig(NoiseSchedule("uniform", 4.0), 1.0, 1, 0, batching=1), "batching must be a string, got 1"),
+            (lambda: TrainConfig(NoiseSchedule("uniform", 4.0), 1.0, 1, 0, batching="rs", q=math.inf, eps_total=1.0),
+             "q must be a finite nonnegative number, got inf"),
+            (lambda: TrainConfig(NoiseSchedule("uniform", 4.0), 1.0, 1, 0, rho_total=True),
+             "rho_total must be a finite nonnegative number, got True"),
+            (lambda: cli.TuneManifest({}, [], {}, eps="abc"), "manifest.eps must be a finite nonnegative number, got 'abc'"),
+            (lambda: cli.TuneManifest({}, [], {}, eps=1.0, seed=-1), "manifest.seed must be a finite nonnegative integer, got -1"),
+            (lambda: errors.config_from_json(cli.RunConfig, "run.json", {**TRAIN_CONFIG, "splitt": {}}),
+             "unknown run.json keys: ['splitt']"),
+            (lambda: errors.config_from_json(cli.RunConfig, "run.json", {"data": {}, "train": {}}),
+             "run.json requires keys: ['schedule']"),
+        ],
+    )
+    def test_same_message_on_first_and_second_construction(self, build, message):
+        errors._checked_fields.cache_clear()
+        texts = []
+        for _ in range(2):
+            with pytest.raises(ConfigError) as err:
+                build()
+            texts.append(str(err.value))
+        assert texts == [message, message]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dpbudget import data, nn
+from dpbudget.accounting import PrivacyLedger, gaussian_rho
 from dpbudget.dpsgd import TrainConfig, train
 from dpbudget.errors import ConfigError, InfeasibleTargetError, UsageError
 from dpbudget.schedules import (
@@ -23,6 +24,65 @@ from dpbudget.schedules import (
 
 BUDGET = 0.78125
 TINY = data.synth_blobs(8, 2, 2, seed=0)
+
+
+def _reference_sigma(schedule, t):
+    """sigma_t written out per kind apart from the package: the values
+    ``sigma_at`` must match bit for bit."""
+    s = schedule
+    if s.kind == "uniform":
+        return s.sigma0
+    if s.kind in ("time", "exp"):
+        u = t if s.period is None else t // s.period
+        return s.sigma0 / (1.0 + s.k * u) if s.kind == "time" else s.sigma0 * math.exp(-s.k * u)
+    if s.kind == "step":
+        return s.sigma0 * s.k ** (t // s.period)
+    if t >= s.period:
+        return s.sigma_end
+    return (s.sigma0 - s.sigma_end) * (1.0 - t / s.period) ** s.k + s.sigma_end
+
+
+def _ledger_horizon(schedule, rho_total, max_epochs=1_000_000):
+    """The horizon as an rf ledger sees it: epoch t is admitted at sigma_t
+    until the ledger refuses one."""
+    ledger = PrivacyLedger("rf")
+    epoch = 0
+    while epoch < max_epochs and ledger.admit(_reference_sigma(schedule, epoch), rho_total):
+        ledger.steps.clear()  # an rf admission reads only the running total
+        epoch += 1
+    return epoch
+
+
+@st.composite
+def _deterministic_schedules(draw):
+    kind = draw(st.sampled_from(["uniform", "time", "exp", "step", "poly"]))
+    sigma0 = draw(st.floats(0.5, 20.0))
+    if kind == "uniform":
+        return uniform(sigma0)
+    if kind in ("time", "exp"):
+        return NoiseSchedule(kind, sigma0, k=draw(st.floats(1e-4, 3.0)), period=draw(st.none() | st.integers(1, 30)))
+    if kind == "step":
+        return step_decay(sigma0, draw(st.floats(0.05, 0.999)), draw(st.integers(1, 30)))
+    return poly_decay(sigma0, sigma0 * draw(st.floats(0.05, 0.95)), draw(st.floats(0.1, 16.0)), draw(st.integers(1, 300)))
+
+
+@st.composite
+def _horizon_cases(draw):
+    """(schedule, rho_total, max_epochs): the budget is drawn freely, is 0, or
+    is the cost of the first n epochs summed in order, moved by a fraction of
+    the admission tolerance; max_epochs is the default (None) or a cap."""
+    schedule = draw(_deterministic_schedules())
+    budget = draw(st.sampled_from(["free", "zero", "fit"]))
+    if budget == "free":
+        rho_total = draw(st.floats(0.0, 3.0))
+    elif budget == "zero":
+        rho_total = 0.0
+    else:
+        total = 0.0
+        for t in range(draw(st.integers(1, 60))):
+            total += gaussian_rho(_reference_sigma(schedule, t))
+        rho_total = max(0.0, total + draw(st.sampled_from([0.0, 5e-13, -5e-13, -2e-12])))
+    return schedule, rho_total, draw(st.none() | st.integers(-2, 200))
 
 
 class TestSigmaAt:
@@ -66,6 +126,11 @@ class TestSigmaAt:
         values = [sigma_at(sched, t) for t in range(150)]
         assert all(a >= b for a, b in zip(values[:100], values[1:101]))
         assert all(v == 2.0 for v in values[100:])
+
+    @settings(max_examples=200, deadline=None)
+    @given(schedule=_deterministic_schedules())
+    def test_bit_equal_to_one_expression_per_kind(self, schedule):
+        assert [repr(sigma_at(schedule, t)) for t in range(301)] == [repr(_reference_sigma(schedule, t)) for t in range(301)]
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(ConfigError):
@@ -255,6 +320,19 @@ class TestExhaustion:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_horizon_cases())
+    @example(case=(uniform(8.0), BUDGET, None))
+    @example(case=(uniform(8.0), BUDGET, 100))
+    @example(case=(uniform(8.0), BUDGET, 99))
+    @example(case=(uniform(8.0), 0.0, None))
+    @example(case=(uniform(8.0), BUDGET, 0))
+    @example(case=(step_decay(10.0, 0.6, 10), BUDGET, -1))
+    def test_equals_the_ledger_walk(self, case):
+        schedule, rho_total, max_epochs = case
+        kwargs = {} if max_epochs is None else {"max_epochs": max_epochs}
+        assert epochs_until_exhaustion(schedule, rho_total, **kwargs) == _ledger_horizon(schedule, rho_total, **kwargs)
 
     def test_rejects_nan_and_inf_budget(self):
         for rho_total in (math.nan, math.inf):
