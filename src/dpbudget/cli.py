@@ -58,7 +58,7 @@ def _check_writable(*paths: str) -> None:
     """Raise the ``OSError`` that writing each of ``paths`` would meet from a
     directory in its place, a parent directory that is missing or is not one,
     or a lack of write permission, without creating anything, so that a
-    command refuses the outputs it writes after training before it trains."""
+    command refuses its outputs before the work that produces them."""
     for path in paths:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -96,6 +96,7 @@ def _cmd_account(args: argparse.Namespace) -> int:
     iters = round(1.0 / q) if args.iters_per_epoch is None else args.iters_per_epoch
     if iters < 1:
         raise DomainError(f"--iters-per-epoch must be at least 1, got {iters}")
+    _check_writable(args.out)
 
     classic = accounting.classic_gaussian_dp(sigma, delta)
     per_epoch_rho = accounting.gaussian_rho(sigma)
@@ -291,6 +292,7 @@ def _cmd_validate_bound(args: argparse.Namespace) -> int:
         if not 0.0 <= span < math.inf:
             raise DomainError("need finite sigma_min <= sigma_max and a positive sigma step")
         sigmas = [args.sigma_min + i * sigma_step for i in range(int(round(span)) + 1)]
+        _check_writable(args.out)  # not on the --point path: a point takes under 1 ms
         report = renyi.validate_moment_bound(sigmas, q_step=q_step, alpha_cap=args.alpha_cap)
 
     payload = {

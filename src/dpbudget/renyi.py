@@ -41,10 +41,11 @@ _ORDER_CAP = 200
 _EXP_ZERO = -746.0
 
 
-def _blocks(n_rows: int, row_len: int) -> List[slice]:
-    """Row ranges holding at most ``_BLOCK_ENTRIES`` entries (one row at least)."""
+def _blocks(n_rows: int, row_len: int, first: int = 0) -> List[slice]:
+    """Ranges of the rows ``first..n_rows-1`` holding at most
+    ``_BLOCK_ENTRIES`` entries (one row at least)."""
     step = max(1, _BLOCK_ENTRIES // max(1, row_len))
-    return [slice(i, min(i + step, n_rows)) for i in range(0, n_rows, step)]
+    return [slice(i, min(i + step, n_rows)) for i in range(first, n_rows, step)]
 
 
 # log(k!) for k = 0, 1, ..., built on first use and extended when a larger
@@ -71,16 +72,17 @@ def _toeplitz_rows(seq: np.ndarray, rows: slice) -> np.ndarray:
     return np.ndarray((rows.stop - rows.start, n), seq.dtype, seq, (n - 1 - rows.start) * step, (-step, step))
 
 
-def _log_moments(q: float, sigma: float, alpha_max: int) -> np.ndarray:
+def _log_moments(q: float, sigma: float, alpha_max: int, alpha_min: int = 2) -> np.ndarray:
     """``(alpha - 1) * D_alpha(mixture || base)`` at the integer orders
-    alpha = 2..alpha_max, from the closed form in the module docstring.
+    alpha = alpha_min..alpha_max, from the closed form in the module docstring.
 
     Row ``alpha`` of the (order x j) matrix holds the log of term j, or -inf
     for j > alpha; each row is reduced by a log-sum-exp and then ``log1p``.
     With k = alpha - j, the parts ``log k!`` and ``k log(1-q)`` are Toeplitz
     in (alpha, j): each is a strided view of one sequence over k, with
     ``log k! = +inf`` for k < 0.  ``exp`` is taken only where it can be
-    nonzero.
+    nonzero.  Only the rows of the requested orders are built; each row is
+    reduced on its own, so an order's value does not depend on ``alpha_min``.
     """
     if not 0.0 < q <= 1.0:
         raise DomainError(f"sampling ratio q must lie in (0, 1], got {q}")
@@ -90,7 +92,8 @@ def _log_moments(q: float, sigma: float, alpha_max: int) -> np.ndarray:
         raise DomainError(f"the highest order must be at least 2, got {alpha_max}")
     j = np.arange(2, alpha_max + 1)
     if q == 1.0:  # two unit-separated Gaussians: only the j = alpha term is left
-        return j * (j - 1.0) / (2.0 * sigma * sigma)
+        alphas = j[alpha_min - 2 :]
+        return alphas * (alphas - 1.0) / (2.0 * sigma * sigma)
     n = j.size
     log_fact = _log_factorials(alpha_max)
     x = j * (j - 1.0) / (2.0 * sigma * sigma)
@@ -99,7 +102,7 @@ def _log_moments(q: float, sigma: float, alpha_max: int) -> np.ndarray:
     log_fact_k = np.concatenate([log_fact[n - 1 :: -1], np.full(n - 1, math.inf)])
     k_log1m_q = np.arange(n - 1, -n, -1) * math.log1p(-q)
     out = np.empty(n)
-    for rows in _blocks(n, n):
+    for rows in _blocks(n, n, alpha_min - 2):
         terms = np.subtract(log_fact[j[rows], None], _toeplitz_rows(log_fact_k, rows))
         terms += _toeplitz_rows(k_log1m_q, rows)
         terms += log_col
@@ -110,7 +113,7 @@ def _log_moments(q: float, sigma: float, alpha_max: int) -> np.ndarray:
         np.exp(terms, out=terms, where=~dead)
         np.copyto(terms, 0.0, where=dead)
         out[rows] = np.logaddexp(0.0, peak[:, 0] + np.log(np.sum(terms, axis=1)))
-    return out
+    return out[alpha_min - 2 :]
 
 
 def subsampled_renyi_divergence(q: float, sigma: float, alpha: float) -> float:
@@ -120,7 +123,7 @@ def subsampled_renyi_divergence(q: float, sigma: float, alpha: float) -> float:
     Gaussians, for which the divergence is ``alpha / (2 sigma^2)``."""
     if not (2 <= alpha < math.inf and alpha == math.floor(alpha)):
         raise DomainError(f"order must be an integer of at least 2, got {alpha}")
-    return float(_log_moments(q, sigma, int(alpha))[-1]) / (alpha - 1.0)
+    return float(_log_moments(q, sigma, int(alpha), int(alpha))[0]) / (alpha - 1.0)
 
 
 def divergence_changepoint(q: float, sigma: float, alpha_max: int = _ORDER_CAP) -> int:

@@ -8,6 +8,8 @@ to ``exp(-eps * z_i / 2)``.  The draw satisfies eps-DP and therefore
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence
@@ -23,21 +25,39 @@ def _check_eps(eps: float) -> None:
         raise DomainError(f"eps must be finite and nonnegative, got {eps}")
 
 
-def selection_probabilities(z_scores: Sequence[float], eps: float) -> np.ndarray:
-    """Normalized exp(-eps z / 2) weights, shifted by the largest log weight
-    before exponentiating so that none overflows."""
+def _probabilities(z_scores: Sequence[float], eps: float) -> List[float]:
+    """Normalized exp(-eps z / 2) weights as Python floats, shifted by the
+    largest log weight before exponentiating so that none overflows; the
+    one computation behind the probabilities and the draw."""
     if len(z_scores) == 0:
         raise UsageError("selection requires at least one candidate")
     _check_eps(eps)
-    log_w = -0.5 * eps * np.asarray(z_scores, dtype=np.float64)
-    p = np.exp(log_w - log_w.max())
-    return p / p.sum()
+    try:
+        finite = all(map(math.isfinite, z_scores))
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        finite = False
+    if not finite:  # the eps-DP claim holds for finite scores only
+        raise DomainError(f"scores must be finite numbers, got {list(z_scores)}")
+    scale = -0.5 * eps
+    log_w = [scale * z for z in z_scores]
+    peak = max(log_w)
+    if not math.isfinite(peak):  # -eps z / 2 overflowed: the shift would give NaN weights
+        raise DomainError(f"eps * score / 2 overflows for eps {eps} and scores {list(z_scores)}")
+    w = [math.exp(x - peak) for x in log_w]
+    total = sum(w)
+    return [x / total for x in w]
+
+
+def selection_probabilities(z_scores: Sequence[float], eps: float) -> np.ndarray:
+    """The probability of each candidate, proportional to exp(-eps z / 2)."""
+    return np.array(_probabilities(z_scores, eps))
 
 
 def exp_mechanism_select(z_scores: Sequence[float], eps: float, rng: np.random.Generator) -> int:
-    """Draw one candidate index with probability proportional to exp(-eps z/2)."""
-    cdf = np.cumsum(selection_probabilities(z_scores, eps))
-    return min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)
+    """Draw one candidate index with probability proportional to exp(-eps z/2):
+    the first cdf entry above one ``rng.random()`` value."""
+    cdf = list(itertools.accumulate(_probabilities(z_scores, eps)))
+    return min(bisect.bisect_right(cdf, rng.random()), len(cdf) - 1)
 
 
 def selection_rho(eps: float) -> float:

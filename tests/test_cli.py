@@ -713,6 +713,27 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("case", ["out-under-file", "out-in-missing-dir", "out-is-dir"])
+    @pytest.mark.parametrize(
+        "command,computation",
+        [(["validate-bound", "--smoke"], "validate_moment_bound"), (["account", "--epochs", "2"], "moments_accountant_curve")],
+        ids=["validate-bound", "account"],
+    )
+    def test_unwritable_output_refused_before_computing(self, tmp_path, capsys, monkeypatch, command, computation, case):
+        def never(*args, **kwargs):
+            raise AssertionError("computed before its output was checked")
+
+        monkeypatch.setattr(cli.renyi, computation, never)
+        regular = tmp_path / "file"
+        regular.write_text("")
+        out = {"out-under-file": regular / "x.json", "out-in-missing-dir": tmp_path / "none" / "x.json",
+               "out-is-dir": tmp_path}[case]
+        before = sorted(tmp_path.iterdir())
+        assert run([*command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+
 
 class TestConfigFieldKinds:
     """A dataclass's field kinds are read once and kept: its first and its

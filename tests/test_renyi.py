@@ -110,11 +110,11 @@ class TestAllOrders:
 
     @pytest.mark.parametrize("q,sigma", [(0.01, 4.0), (0.005, 2.0), (0.5, 1.0)])
     def test_batch_equals_one_order_calls(self, q, sigma):
+        # a single order builds only its own row, which is reduced as in the batch
         alphas = np.array([2, 3, 17, 90, 200])
         batched = renyi._log_moments(q, sigma, 200)[alphas - 2] / (alphas - 1.0)
         for alpha, value in zip(alphas, batched):
-            single = renyi.subsampled_renyi_divergence(q, sigma, alpha)
-            assert value == pytest.approx(single, rel=1e-14, abs=0.0)
+            assert value == renyi.subsampled_renyi_divergence(q, sigma, alpha)
 
     def test_log_factorial_table_matches_gammaln(self):
         n = np.arange(5001)
@@ -156,6 +156,21 @@ class TestKernelOracle:
     def test_matches_reference(self, q, sigma, alpha_max):
         alphas = np.arange(2, alpha_max + 1)
         assert np.array_equal(renyi._log_moments(q, sigma, alpha_max), reference_log_moments(q, sigma, alphas), equal_nan=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        q=st.floats(0.0, 1.0, exclude_min=True),
+        sigma=st.floats(0.3, 40.0),
+        alpha_max=st.integers(2, 600),
+        lowest=st.floats(0.0, 1.0),  # where alpha_min lies between 2 and alpha_max
+    )
+    @example(q=1.0, sigma=4.0, alpha_max=30, lowest=0.5)
+    @example(q=0.01, sigma=4.0, alpha_max=200, lowest=1.0)
+    @example(q=0.0497, sigma=1.0, alpha_max=600, lowest=0.0)
+    def test_lowest_order_slices_the_full_kernel(self, q, sigma, alpha_max, lowest):
+        alpha_min = 2 + round(lowest * (alpha_max - 2))
+        full = renyi._log_moments(q, sigma, alpha_max)
+        assert np.array_equal(renyi._log_moments(q, sigma, alpha_max, alpha_min), full[alpha_min - 2 :], equal_nan=True)
 
     # Rows of these points hold terms whose exp is subnormal or rounds to
     # 0.0 (between -746 and -708.4 below the row's peak): hundreds at

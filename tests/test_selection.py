@@ -2,9 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpbudget import data, nn, selection
 from dpbudget.errors import DomainError, UsageError
+
+
+def oracle_probabilities(z_scores, eps):
+    """The mechanism as first written on numpy arrays, the oracle for the
+    float computation: it agrees to the last bits, since ``math.exp`` is not
+    numpy's ``exp`` and ``sum`` is not numpy's pairwise sum."""
+    log_w = -0.5 * eps * np.asarray(z_scores, dtype=np.float64)
+    p = np.exp(log_w - log_w.max())
+    return p / p.sum()
+
+
+def oracle_select(z_scores, eps, rng):
+    cdf = np.cumsum(oracle_probabilities(z_scores, eps))
+    return min(int(np.searchsorted(cdf, rng.random(), side="right")), len(cdf) - 1)
 
 
 class TestSelectionProbabilities:
@@ -44,6 +59,44 @@ class TestSelectionProbabilities:
         with pytest.raises(DomainError):
             selection.selection_rho(eps)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        z_scores=st.one_of(
+            st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=64),
+            st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=64),
+        ),
+        eps=st.floats(0.0, 10.0),
+    )
+    def test_matches_numpy_oracle(self, z_scores, eps):
+        p = selection.selection_probabilities(z_scores, eps)
+        # relative to the smallest normal double below it, where an ulp is absolute
+        np.testing.assert_allclose(p, oracle_probabilities(z_scores, eps), rtol=1e-14, atol=1e-14 * np.finfo(float).tiny)
+        assert p.dtype == np.float64 and p.shape == (len(z_scores),)
+        assert math.fsum(p) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "z_scores",
+        [[0, math.nan], [-math.inf, 0], [0, math.inf], [0, np.float64("nan")], [0, "3"], [0, None], [0, 10**400]],
+        ids=["nan", "-inf", "inf", "numpy-nan", "string", "none", "int-beyond-float"],
+    )
+    def test_non_finite_or_non_numeric_scores_rejected(self, z_scores):
+        # a NaN or infinite score would void the eps-DP claim, so nothing is drawn
+        with pytest.raises(DomainError):
+            selection.selection_probabilities(z_scores, 1.0)
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError):
+            selection.exp_mechanism_select(z_scores, 1.0, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+    @pytest.mark.parametrize("z_scores", [[1e308, 1.5e308], [0, -1e308]], ids=["all-overflow", "overflow-upward"])
+    def test_overflowing_log_weights_rejected(self, z_scores):
+        # finite scores whose -eps z / 2 overflows would shift to NaN weights
+        with pytest.raises(DomainError):
+            selection.selection_probabilities(z_scores, 10.0)
+        with pytest.raises(DomainError):
+            selection.exp_mechanism_select(z_scores, 10.0, np.random.default_rng(0))
+        assert selection.selection_probabilities([0, 1e308], 10.0).tolist() == [1.0, 0.0]
+
     def test_large_scores_do_not_underflow(self):
         # exp(-eps z / 2) is 0.0 in float64 for both scores; the weights
         # shifted by the largest log weight are not
@@ -60,6 +113,12 @@ class TestExpMechanismDraws:
         for _ in range(200):
             expected = int(np.searchsorted(cdf, reference.random(), side="right"))
             assert selection.exp_mechanism_select([0, 2, 4, 8], 0.5, rng) == expected
+
+    @pytest.mark.parametrize("z_scores,eps,draws", [([0, 10], 1.0, 100_000), ((0, 2, 4, 8), 0.5, 3000)])
+    def test_picks_equal_the_numpy_oracle(self, z_scores, eps, draws):
+        rng, reference = np.random.default_rng(110), np.random.default_rng(110)
+        picks = [selection.exp_mechanism_select(z_scores, eps, rng) for _ in range(draws)]
+        assert picks == [oracle_select(z_scores, eps, reference) for _ in range(draws)]
 
     def test_empirical_frequencies(self):
         rng = np.random.default_rng(99)
