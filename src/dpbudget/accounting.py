@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, islice, repeat
 from typing import List, NamedTuple, Optional
 
 from .errors import DomainError, PreconditionError, UsageError
@@ -182,6 +183,14 @@ def rf_refuses(total: float, budget: float) -> bool:
     return total > budget + BUDGET_TOL
 
 
+def rs_refuses(total: float, u_alpha: float, budget: float, delta: float) -> bool:
+    """The rs admission rule: whether a running ``rho_hat`` of ``total``
+    under order cap ``u_alpha`` converts to an eps at ``delta`` above
+    ``budget``.  :class:`PrivacyLedger` stops at it, one release at a time or
+    an epoch's iterations at once."""
+    return rs_eps(total, u_alpha, delta) > budget
+
+
 def _check_admission(budget: float, releases: int) -> None:
     if releases < 1:
         raise DomainError(f"releases must be at least 1, got {releases}")
@@ -230,7 +239,7 @@ class PrivacyLedger:
             self.rho_sum = total
         else:
             u_alpha = min(self.u_alpha_min, rs_order_cap(step.q, step.sigma))
-            if budget is not None and rs_eps(total, u_alpha, delta) > budget:
+            if budget is not None and rs_refuses(total, u_alpha, budget, delta):
                 return False
             self.rho_hat, self.u_alpha_min = total, u_alpha
         self.steps += [step] * releases
@@ -298,9 +307,12 @@ class PrivacyLedger:
         before the first whose spend would exceed the eps ``budget`` at
         ``delta``.  Returns how many were charged.
 
-        The iterations are priced once and recorded one by one, so the result
-        equals that of a loop of :meth:`admit` calls, one per iteration, that
-        stops at the first refusal: the same steps and totals.
+        The epoch is priced once, one release check and one order cap for
+        all its iterations.  Every prefix total is formed with the additions
+        that :meth:`admit` would make, left to right, and the first that
+        :func:`rs_refuses` ends the count, so the result, the steps and the
+        totals equal those of a loop of :meth:`admit` calls, one per
+        iteration, that stops at the first refusal.
         """
         if self.mode != "rs":
             raise UsageError("admit_iterations requires an rs-mode ledger")
@@ -308,9 +320,16 @@ class PrivacyLedger:
             raise DomainError(f"iterations must be nonnegative, got {iterations}")
         _check_admission(budget, releases)
         epoch, _, q, sigma, cost = self._price(sigma, q, epoch, 0)
+        u_alpha = min(self.u_alpha_min, rs_order_cap(q, sigma))
+        # the running total after each iteration's releases, added one at a time
+        totals = islice(accumulate(repeat(cost, iterations * releases), initial=self.rho_hat), releases, None, releases)
         admitted = 0
-        while admitted < iterations and self._record(LedgerStep(epoch, admitted, q, sigma, cost), releases, budget, delta):
+        for total in totals:
+            if rs_refuses(total, u_alpha, budget, delta):
+                break
+            self.rho_hat, self.u_alpha_min = total, u_alpha
             admitted += 1
+        self.steps += [LedgerStep(epoch, i, q, sigma, cost) for i in range(admitted) for _ in range(releases)]
         return admitted
 
     @property

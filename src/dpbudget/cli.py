@@ -54,12 +54,27 @@ def _manifest(args: argparse.Namespace, seed: Optional[int] = None) -> dict:
     return record
 
 
-def _check_writable(*paths: str) -> None:
+def _same_file(a: str, b: str) -> bool:
+    """Whether paths ``a`` and ``b`` name one file: the same existing file,
+    links included, or the same place if either does not exist yet."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_writable(*paths: str, inputs: Sequence[str] = ()) -> None:
     """Raise the ``OSError`` that writing each of ``paths`` would meet from a
     directory in its place, a parent directory that is missing or is not one,
-    or a lack of write permission, without creating anything, so that a
-    command refuses its outputs before the work that produces them."""
-    for path in paths:
+    or a lack of write permission, and a :class:`UsageError` if it names one
+    of the files in ``inputs`` or another of ``paths``, without creating
+    anything, so that a command refuses its outputs before the work that
+    produces them."""
+    for i, path in enumerate(paths):
+        for kind, others in (("input", inputs), ("output", paths[:i])):
+            clash = next((other for other in others if _same_file(path, other)), None)
+            if clash is not None:
+                raise UsageError(f"output {path} is the same file as the {kind} {clash}")
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         parent = os.path.dirname(path) or "."
@@ -131,6 +146,11 @@ class CancerData:
     def __post_init__(self) -> None:
         check_config_fields(self, "data")
 
+    @property
+    def inputs(self) -> Tuple[str, ...]:
+        """The files read by :meth:`load`."""
+        return (self.path,)
+
     def load(self) -> data.Dataset:
         return data.load_cancer_csv(self.path)
 
@@ -148,6 +168,11 @@ class SynthData:
 
     def __post_init__(self) -> None:
         check_config_fields(self, "data")
+
+    @property
+    def inputs(self) -> Tuple[str, ...]:
+        """The files read by :meth:`load`: none."""
+        return ()
 
     def load(self) -> data.Dataset:
         return data.synth_blobs(self.n, self.d, self.classes, self.seed, separation=float(self.separation))
@@ -219,7 +244,6 @@ def _read_data(spec: object) -> CancerData | SynthData:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    _check_writable(args.out + ".csv", args.out + ".json", *([args.checkpoint] if args.checkpoint else []))
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = config_from_json(RunConfig, args.config, json.load(fh))
     schedule = schedules.NoiseSchedule.from_dict(cfg.schedule)
@@ -227,6 +251,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
     data_config = _read_data(cfg.data)
     split = None if cfg.split is None else config_from_json(SplitConfig, "split", cfg.split)
     model_config = config_from_json(ModelConfig, "model", cfg.model)
+    _check_writable(
+        args.out + ".csv", args.out + ".json", *([args.checkpoint] if args.checkpoint else []),
+        inputs=(args.config, *data_config.inputs),
+    )
 
     dataset = data_config.load()
     validation = None
@@ -310,10 +338,11 @@ def _cmd_validate_bound(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    _check_writable(args.out)
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = config_from_json(TuneManifest, args.manifest, json.load(fh))
-    dataset = _read_data(manifest.data).load()
+    data_config = _read_data(manifest.data)
+    _check_writable(args.out, inputs=(args.manifest, *data_config.inputs))
+    dataset = data_config.load()
     model_config = config_from_json(ModelConfig, "model", manifest.model)
     candidates = [schedules.NoiseSchedule.from_dict(d) for d in manifest.candidates]
     eps, seed = float(manifest.eps), manifest.seed

@@ -141,8 +141,10 @@ def rs_batches(n: int, q: float, iters: int, rng: np.random.Generator) -> List[n
         chunks.append(last + np.cumsum(rng.geometric(q, chunk)))
         last = chunks[-1][-1]
     positions = np.concatenate(chunks)
-    positions = positions[: np.searchsorted(positions, total)]
-    return np.split(positions % n, np.searchsorted(positions, np.arange(n, total, n)))
+    # batch i holds the positions in [i n, (i + 1) n), each taken mod n
+    bounds = np.searchsorted(positions, np.arange(0, total + 1, n)).tolist()
+    wrapped = positions[: bounds[-1]] % n
+    return [wrapped[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def synth_blobs(

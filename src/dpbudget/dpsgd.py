@@ -5,21 +5,25 @@ reshuffling) or an epoch's iterations (under sampling, as many as fit) are
 admitted to the ledger before any of their gradients are computed, and
 training stops as soon as the next charge would overrun the budget.  Noise
 scales come from a :class:`~dpbudget.schedules.NoiseSchedule`, including the
-feedback-driven validation schedule.  Every batch goes through one
-:class:`_TrainingStep`, built once per run, which owns the buffers of the
-clipped, noised sum and of the update.
+feedback-driven validation schedule.  Each epoch's batches go through one
+call of a :class:`_TrainingStep`, built once per run, which owns the buffers
+of the clipped, noised sums and of the updates.  An rs epoch is admitted in
+one pass over its running totals (:meth:`PrivacyLedger.admit_iterations`).
 
 Randomness is a single seeded numpy PCG64 generator consumed in a fixed
 order, so a (config, seed) pair reproduces its report bit for bit: each
 epoch draws its batches first (an rf permutation, or the admitted rs
 iterations' sampled batches in one call), then one noise vector per batch.
+The step draws those vectors as the rows of one block per epoch, of at most
+:data:`NOISE_BLOCK_BYTES`, which holds the values of the row draws one by
+one and leaves the generator where they would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,45 +42,40 @@ def _clip_factors(sq_norms: np.ndarray, clip_norm: float) -> np.ndarray:
     return np.divide(clip_norm, sq_norms, out=sq_norms)
 
 
-def _noisy_clipped_sum(
-    batch: nn.Columns,
-    clip_norm: float,
-    sigma: float,
-    per_layer: bool,
-    rng: np.random.Generator,
-    noise: np.ndarray,
-) -> np.ndarray:
-    """N(0, (sigma C)^2 I) plus the sum over the batch of the clipped
-    per-example gradients of the model's layers, as one vector in
-    ``params`` order.
-
-    The noise is drawn into ``noise``.  ``batch`` holds the layers'
-    augmented inputs ã = [a, 1] and backprop signals d, as
-    :func:`nn.backward` leaves them, and receives the sum in ``batch.total``.
-    Ghost clipping: the gradient of block [W; b] is outer(ã, d), so |g_l|^2 =
-    |ã|^2 |d|^2, whose factors are segment sums of squares, and the clipped
-    sum is ã.T @ (d s); no per-example gradient is formed.
-    """
+def _check_noise(clip_norm: float, sigma: float) -> None:
     if not 0.0 < clip_norm < math.inf:
         raise DomainError(f"clip_norm must be positive and finite, got {clip_norm}")
     if not 0.0 <= sigma < math.inf:
         raise DomainError(f"sigma must be finite and nonnegative, got {sigma}")
-    # equal to rng.normal(0.0, sigma * clip_norm, size), without adding its zero mean
-    rng.standard_normal(out=noise)
-    noise *= sigma * clip_norm
+
+
+def _clipped_sum(batch: nn.Columns, clip_norm: float, per_layer: bool) -> np.ndarray:
+    """The sum over the batch of the clipped per-example gradients of the
+    model's layers, as one vector in ``params`` order, in ``batch.total``.
+
+    ``batch`` holds the layers' augmented inputs ã = [a, 1] and backprop
+    signals d, as :func:`nn.backward` leaves them.  Ghost clipping: the
+    gradient of block [W; b] is outer(ã, d), so |g_l|^2 = |ã|^2 |d|^2, whose
+    factors are segment sums of squares, and the clipped sum is ã.T @ (d s);
+    no per-example gradient is formed.
+    """
     inputs_t, signals_t, scaled_t, sq_norms = batch.inputs, batch.signals, batch.scaled, batch.input_sq
     # The scratch rows hold ã^2, then d^2, then d s.
-    np.dot(batch.input_layers, np.multiply(inputs_t, inputs_t, out=batch.active), out=sq_norms)
-    sq_norms *= np.dot(batch.signal_layers, np.multiply(signals_t, signals_t, out=scaled_t), out=batch.signal_sq)
+    batch.input_layers.dot(np.multiply(inputs_t, inputs_t, out=batch.active), sq_norms)
+    sq_norms *= batch.signal_layers.dot(np.multiply(signals_t, signals_t, out=scaled_t), batch.signal_sq)
     if per_layer:
-        np.dot(batch.signal_layers.T, _clip_factors(sq_norms, clip_norm), out=scaled_t)
+        batch.signal_layers_t.dot(_clip_factors(sq_norms, clip_norm), scaled_t)
         scaled_t *= signals_t
     else:
         np.multiply(signals_t, _clip_factors(np.add.reduce(sq_norms, 0), clip_norm), out=scaled_t)
-    for a, ds, out in zip(batch.layer_inputs, batch.scaled_blocks, batch.total_blocks):
-        np.dot(a, ds, out=out)
-    batch.total += noise
+    for a, ds, out in batch.layer_sums:
+        a.dot(ds, out)
     return batch.total
+
+
+#: Largest noise block a training step draws at once, in bytes.  An epoch's
+#: noise takes one draw if its rows fit, and one per block of rows if not.
+NOISE_BLOCK_BYTES = 1 << 20
 
 
 class _TrainingStep:
@@ -86,12 +85,14 @@ class _TrainingStep:
 
     One ``np.take`` gathers a batch's columns of ``loaded.examples`` into
     its workspace, of which there is one per batch size, 0 included.  The
-    noise is drawn into ``noise`` whatever the size.
+    noise of a call's batches is drawn into the rows of one block, one row
+    per batch, of at most :data:`NOISE_BLOCK_BYTES`.
     """
 
     def __init__(self, model: nn.MlpModel, loaded: nn.Columns, clip_norm: float, per_layer: bool):
         self.model, self.loaded, self.clip_norm, self.per_layer = model, loaded, clip_norm, per_layer
-        self.noise = nn.aligned_empty(model.n_params)
+        self.block_rows = max(1, NOISE_BLOCK_BYTES // (8 * model.n_params))
+        self.noise = np.empty((0, model.n_params))
         self.buffer = np.empty(0)
         self.batches: Dict[int, nn.Columns] = {}
         self.current: Optional[nn.Columns] = None
@@ -111,20 +112,40 @@ class _TrainingStep:
         self.current = batch
         return batch
 
-    def noisy_clipped_sum(self, indices: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-        """The release on the examples ``indices``, in a buffer of this step."""
-        batch = self._batch(len(indices))
-        self.loaded.examples.take(indices, 1, batch.examples, "clip")
-        nn.backward(batch)
-        return _noisy_clipped_sum(batch, self.clip_norm, sigma, self.per_layer, rng, self.noise)
+    def _noise(self, rows: int, scale: float, rng: np.random.Generator) -> np.ndarray:
+        """``rows`` draws of N(0, scale^2 I), one per row of a block of this
+        step, in the order of as many ``rng.normal(0.0, scale, n_params)`` calls."""
+        if rows > len(self.noise):
+            self.noise = nn.aligned_empty((rows, self.model.n_params))
+        noise = self.noise[:rows]
+        # equal to the row draws, without adding their zero mean: the block
+        # is contiguous, and the generator fills it in order
+        rng.standard_normal(out=noise)
+        noise *= scale
+        return noise
 
-    def __call__(self, indices: np.ndarray, sigma: float, lr: float, lot_size: float, rng: np.random.Generator) -> None:
-        """One release on ``indices``, divided by ``lot_size``, applied as one
-        in-place step on the flat parameters: ``params -= lr * (total / lot_size)``."""
-        update = self.noisy_clipped_sum(indices, sigma, rng)
-        np.divide(update, lot_size, out=update)
-        update *= lr
-        self.model.params -= update
+    def __call__(
+        self, batches: Sequence[np.ndarray], sigma: float, lr: float, lot_size: Optional[float], rng: np.random.Generator
+    ) -> None:
+        """One release per batch of example indices, in order, each divided by
+        ``lot_size`` (each batch's own size if None) and applied as one
+        in-place step on the flat parameters: ``params -= lr * (total / lot_size)``,
+        where ``total`` is the batch's clipped sum plus its noise."""
+        _check_noise(self.clip_norm, sigma)
+        params, examples, per_layer = self.model.params, self.loaded.examples, self.per_layer
+        # the scalar operands as 0-d arrays, which a ufunc takes without converting them
+        clip_norm, lr, lot = np.array(self.clip_norm), np.array(lr), None if lot_size is None else np.array(lot_size)
+        for start in range(0, len(batches), self.block_rows):
+            chunk = batches[start : start + self.block_rows]
+            for indices, noise in zip(chunk, self._noise(len(chunk), sigma * self.clip_norm, rng)):
+                batch = self._batch(len(indices))
+                examples.take(indices, 1, batch.examples, "clip")
+                nn.backward(batch)
+                update = _clipped_sum(batch, clip_norm, per_layer)
+                update += noise
+                np.divide(update, len(indices) if lot is None else lot, out=update)
+                update *= lr
+                params -= update
 
 
 def noisy_mean_gradient(
@@ -144,10 +165,15 @@ def noisy_mean_gradient(
         raise DomainError("per_example must be a nonempty (n, params) matrix")
     if batch_size < 1:
         raise DomainError(f"batch_size must be positive, got {batch_size}")
+    _check_noise(clip_norm, sigma)
     n, p = per_example.shape
+    noise = rng.standard_normal(p)
+    noise *= sigma * clip_norm
     batch = nn.Columns(nn.MlpModel([np.empty((0, p))], [np.empty(p)]), n)
     batch.signals[...] = per_example.T
-    return _noisy_clipped_sum(batch, clip_norm, sigma, False, rng, np.empty(p)) / batch_size
+    total = _clipped_sum(batch, clip_norm, False)
+    total += noise
+    return total / batch_size
 
 
 @dataclass(frozen=True)
@@ -269,15 +295,13 @@ def train(
             if not ledger.admit(sigma, config.rho_total, config.delta, releases=releases, epoch=epoch):
                 stop_reason = "budget_exhausted"
                 break
-            for indices in rf_batches(n, n if config.batch_size is None else config.batch_size, rng):
-                step(indices, sigma, config.lr, len(indices), rng)
+            step(rf_batches(n, n if config.batch_size is None else config.batch_size, rng), sigma, config.lr, None, rng)
         else:
             iters = round(1.0 / config.q) if config.iters_per_epoch is None else config.iters_per_epoch
             admitted = ledger.admit_iterations(
                 sigma, config.eps_total, config.delta, config.q, iters, releases=releases, epoch=epoch
             )
-            for indices in rs_batches(n, config.q, admitted, rng):
-                step(indices, sigma, config.lr, lot_size, rng)
+            step(rs_batches(n, config.q, admitted, rng), sigma, config.lr, lot_size, rng)
             if admitted < iters:
                 stop_reason = "budget_exhausted"
                 break

@@ -25,6 +25,9 @@ from .errors import DomainError, ParseError
 
 CHECKPOINT_MAGIC = "dpbudget-mlp 1"
 CACHE_LINE = 64  # bytes
+# ReLU's 0 as a 0-d array: a ufunc converts a Python float operand on every
+# call, which costs a small batch's pass more than the arithmetic
+_ZERO = np.zeros(())
 
 
 def aligned_empty(shape) -> np.ndarray:
@@ -107,7 +110,8 @@ class Columns:
     squared norms of its inputs and of its signals.  Its first rows,
     ``examples``, are the batch's [one-hot labels; features; 1], which is
     all a pass reads.  ``total``, one vector in ``model.params`` order,
-    follows the rows; its block l is ``layer_inputs[l] @ scaled_blocks[l]``.
+    follows the rows; ``layer_sums[l]`` is (layer l's inputs, its scaled
+    signals transposed, block l of ``total``), the block being the product.
     All of it is the first ``size(model, n)`` elements of ``buffer``, a flat
     float64 array, if one is given, so that workspaces for several batch
     sizes can share one allocation.
@@ -136,6 +140,7 @@ class Columns:
         self.layer_inputs, self.layer_signals = np.split(self.inputs, a_cuts), np.split(self.signals, d_cuts)
         eye = np.eye(len(blocks))
         self.input_layers, self.signal_layers = np.repeat(eye, fan_ins, axis=1), np.repeat(eye, fan_outs, axis=1)
+        self.signal_layers_t = self.signal_layers.T
         self.ones = [a[-1] for a in self.layer_inputs]
         self.fill_ones()
         top = len(blocks) - 1
@@ -147,10 +152,13 @@ class Columns:
         # that gate d_{l-1}), as d_{l-1} = (W_l d_l) * ReLU'(z), the sign of a_l
         gates = [active[:-1] for active in np.split(self.active, a_cuts)]
         self.backprop = [(model.weights[l], self.layer_signals[l], self.layer_signals[l - 1], gates[l]) for l in range(top, 0, -1)]
-        # the clipped sum: block l of ``total`` is layer l's inputs times its scaled signals
-        self.scaled_blocks = [ds.T for ds in np.split(self.scaled, d_cuts)]
+        # the clipped sum: (layer l's inputs, its scaled signals, block l of
+        # ``total``), as block l is the product of the first two
         p_cuts = list(accumulate(block.size for block in blocks[:-1]))
-        self.total_blocks = [t.reshape(block.shape) for t, block in zip(np.split(self.total, p_cuts), blocks)]
+        self.layer_sums = [
+            (a, ds.T, t.reshape(block.shape))
+            for a, ds, t, block in zip(self.layer_inputs, np.split(self.scaled, d_cuts), np.split(self.total, p_cuts), blocks)
+        ]
 
     @staticmethod
     def _heights(model: MlpModel) -> List[int]:
@@ -204,10 +212,10 @@ def _forward(cols: Columns) -> np.ndarray:
     input rows and returns the (n_classes, n) ``cols.logits``.  Layer l's
     outputs are ``blocks[l].T`` times its augmented inputs."""
     for block_t, a, z in cols.hidden:
-        np.dot(block_t, a, out=z)
-        np.maximum(z, 0.0, out=z)
+        block_t.dot(a, z)
+        np.maximum(z, _ZERO, out=z)
     block_t, a = cols.output
-    return np.dot(block_t, a, out=cols.logits)
+    return block_t.dot(a, cols.logits)
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -258,7 +266,7 @@ def backward(cols: Columns) -> None:
     # ReLU'(z) as 0.0 or 1.0: the sign of the ReLU outputs
     np.sign(cols.inputs, out=cols.active)
     for weights, above, below, active in cols.backprop:
-        np.dot(weights, above, out=below)
+        weights.dot(above, below)
         below *= active
 
 

@@ -402,19 +402,26 @@ class TestLedgerInvariants:
 @st.composite
 def _rs_epochs(draw):
     """Epochs offered to an rs ledger as (sigma, q, iterations, releases),
-    and an eps budget that is, to within a few ulps, the spend after one of
-    the offered iterations, so that refusals fall on the boundary."""
+    and an eps budget on a boundary: to within a few ulps, either the spend
+    after one of the offered iterations, so that a refusal falls on a prefix
+    total, or the eps at the rs_eps branch switch under the first epoch's
+    order cap, so that it falls where the conversion changes formula."""
     epochs = []
     for _ in range(draw(st.integers(1, 4))):
         sigma = draw(st.floats(2.0, 12.0))
-        q = draw(st.floats(0.05, 1.0)) / (16.0 * sigma)
-        epochs.append((sigma, q, draw(st.integers(0, 60)), draw(st.integers(1, 3))))
+        # q near its bound 1/(16 sigma) reaches the branch switch within a few hundred releases
+        q = draw(st.one_of(st.floats(0.05, 1.0), st.floats(0.9, 1.0))) / (16.0 * sigma)
+        epochs.append((sigma, q, draw(st.integers(0, 300)), draw(st.integers(1, 4))))
     unlimited, spends = PrivacyLedger("rs"), []
     for sigma, q, iterations, releases in epochs:
         for _ in range(iterations):
             unlimited.admit(sigma, math.inf, DELTA, q=q, releases=releases)
             spends.append(unlimited.to_dp(DELTA).eps)
-    budget = draw(st.sampled_from(spends)) if spends else draw(st.floats(0.0, 1.0))
+    sigma, q = epochs[0][:2]
+    u_alpha = accounting.rs_order_cap(q, sigma)
+    switch = accounting.rs_eps(-math.log(DELTA) / (u_alpha - 1.0) ** 2, u_alpha, DELTA)
+    on = draw(st.sampled_from(["prefix", "switch"] if spends else ["switch"]))
+    budget = draw(st.sampled_from(spends)) if on == "prefix" else switch
     ulps = draw(st.integers(-3, 3))
     for _ in range(abs(ulps)):
         budget = math.nextafter(budget, math.copysign(math.inf, ulps))
@@ -434,6 +441,7 @@ class TestAdmitIterations:
                 stop += 1
             assert admitted == stop
             assert _state(batched) == _state(looped)
+            assert batched.to_dp(DELTA) == looped.to_dp(DELTA)
             assert _state(batched.replay()) == _state(batched)
 
     def test_records_each_iteration_and_release(self):

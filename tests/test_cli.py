@@ -269,7 +269,7 @@ class TestTrainCommand:
             {"kind": "uniform", "sigma0": 10.0},
             max_epochs=100, rho_total=0.05,  # 10 epochs at rho 0.005
         )
-        out = str(tmp_path / "run")
+        out = str(tmp_path / "exhausted")  # not "run": run.json is the config
         code = run(["train", "--config", cfg, "--out", out])
         assert code == 0
         report = json.loads(open(out + ".json").read())
@@ -368,7 +368,7 @@ class TestTrainCommand:
         }
         path = tmp_path / "val.json"
         path.write_text(json.dumps(cfg))
-        out = str(tmp_path / "val")
+        out = str(tmp_path / "val-run")  # not "val": val.json is the config
         assert run(["train", "--config", path.as_posix(), "--out", out]) == 5
         lines = [l for l in open(out + ".csv") if not l.startswith("#")]
         rows = [l.strip().split(",") for l in lines[1:]]
@@ -712,6 +712,50 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "case",
+        ["summary-is-config", "csv-is-config", "checkpoint-is-summary", "checkpoint-is-csv", "checkpoint-is-config",
+         "checkpoint-is-data", "summary-is-data", "checkpoint-links-to-config", "tune-out-is-manifest",
+         "tune-out-is-data"],
+    )
+    def test_output_naming_an_input_or_another_output_refused(self, tmp_path, capsys, monkeypatch, cancer_file, case):
+        """An output that would overwrite the run's config, manifest or data
+        file, or another of its outputs, exits 2 before any data is read;
+        every file is left as it was."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("read data before the outputs were checked")
+
+        monkeypatch.setattr(cli.data, "load_cancer_csv", never)
+        monkeypatch.setattr(cli.data, "synth_blobs", never)
+        # the data file under a name that a summary could take
+        cancer = tmp_path / "cancer.json"
+        cancer.write_bytes(open(cancer_file, "rb").read())
+        config, manifest, link = tmp_path / "rs.json", tmp_path / "m.json", tmp_path / "link.json"
+        data_spec = {"kind": "cancer", "path": str(cancer)} if case.endswith("-is-data") else TRAIN_CONFIG["data"]
+        config.write_text(json.dumps({**TRAIN_CONFIG, "data": data_spec, "split": {"n_train": 500}}))
+        (tmp_path / "c.csv").write_text(config.read_text())
+        manifest.write_text(json.dumps({**TUNE_MANIFEST, "data": data_spec}))
+        link.symlink_to(config)
+        train, run_prefix = ["train", "--config", str(config), "--out"], str(tmp_path / "run")
+        argv = {
+            "summary-is-config": [*train, str(tmp_path / "rs")],
+            "csv-is-config": ["train", "--config", str(tmp_path / "c.csv"), "--out", str(tmp_path / "c")],
+            "checkpoint-is-summary": [*train, run_prefix, "--checkpoint", run_prefix + ".json"],
+            "checkpoint-is-csv": [*train, run_prefix, "--checkpoint", run_prefix + ".csv"],
+            "checkpoint-is-config": [*train, run_prefix, "--checkpoint", str(config)],
+            "checkpoint-is-data": [*train, run_prefix, "--checkpoint", str(cancer)],
+            "summary-is-data": [*train, str(tmp_path / "cancer")],
+            "checkpoint-links-to-config": [*train, run_prefix, "--checkpoint", str(link)],
+            "tune-out-is-manifest": ["tune", "--manifest", str(manifest), "--out", str(manifest)],
+            "tune-out-is-data": ["tune", "--manifest", str(manifest), "--out", str(cancer)],
+        }[case]
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output ") and "is the same file as the " in err and err.count("\n") == 1
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("case", ["out-under-file", "out-in-missing-dir", "out-is-dir"])
     @pytest.mark.parametrize(

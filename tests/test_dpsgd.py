@@ -12,10 +12,11 @@ from dpbudget.dpsgd import TrainConfig, _clip_factors, noisy_mean_gradient, trai
 from dpbudget.errors import ConfigError, DomainError, PreconditionError
 
 
-def noisy_clipped_sum(model, x, labels, clip_norm, sigma, per_layer, rng):
-    """The release of a fresh training step on all of ``x``."""
-    step = dpsgd._TrainingStep(model, nn.Columns.load(model, x, labels), clip_norm, per_layer)
-    return step.noisy_clipped_sum(np.arange(len(labels)), sigma, rng)
+def clipped_sum(model, x, labels, clip_norm, per_layer):
+    """The training step's clipped sum on all of ``x``, in a fresh workspace."""
+    batch = nn.Columns.load(model, x, labels)
+    nn.backward(batch)
+    return dpsgd._clipped_sum(batch, clip_norm, per_layer)
 
 
 def clip_rows(per_example: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -124,9 +125,11 @@ class TestNoisyMeanGradient:
         with pytest.raises(DomainError):
             noisy_mean_gradient(np.ones((2, 3)), clip_norm, sigma, 2, rng)
         model = nn.MlpModel.init([2, 3, 2], seed=0)
-        for n in (0, 2):  # an empty batch releases noise alone, and is checked alike
+        step = dpsgd._TrainingStep(model, nn.Columns.load(model, np.ones((2, 2)), np.zeros(2, dtype=int)), clip_norm, False)
+        # an empty batch releases noise alone, and no batch releases nothing: both are checked alike
+        for batches in ([np.arange(2)], [np.arange(0)], []):
             with pytest.raises(DomainError):
-                noisy_clipped_sum(model, np.ones((n, 2)), np.zeros(n, dtype=int), clip_norm, sigma, False, rng)
+                step(batches, sigma, 0.1, None, rng)
 
 
 def per_example_matrix(model, x, labels):
@@ -184,7 +187,7 @@ class TestGhostClipping:
         clip_norm = {"below": 0.5 * lo, "between": math.sqrt(lo * hi), "above": 2.0 * hi}[clip_at]
 
         want = oracle_clipped_sum(model, x, labels, clip_norm, per_layer)
-        got = noisy_clipped_sum(model, x, labels, clip_norm, 0.0, per_layer, np.random.default_rng(0))
+        got = clipped_sum(model, x, labels, clip_norm, per_layer)
         # summation error scales with the summed terms, not with their sum
         scale = np.minimum(norms, clip_norm).sum()
         assert np.linalg.norm(got - want) <= 1e-12 * scale
@@ -194,7 +197,7 @@ class TestGhostClipping:
         x = 1e6 * np.abs(np.random.default_rng(2).normal(size=(4, 3)))
         labels = nn.predict(model, x)
         assert all(np.all(g == 0.0) for g in nn.per_example_gradients(model, x, labels))
-        got = noisy_clipped_sum(model, x, labels, 1.0, 0.0, True, np.random.default_rng(0))
+        got = clipped_sum(model, x, labels, 1.0, True)
         assert np.array_equal(got, np.zeros(model.n_params))
 
 
@@ -601,18 +604,20 @@ class TestMatchesPerExampleUpdate:
 
         class ReferenceStep:
             """Stands in for the trainer's step: the per-example oracle on
-            every batch it is given."""
+            every batch of an epoch, in order, each dividing by its own size
+            when no lot size is given."""
 
             def __init__(self, model, loaded, clip_norm, per_layer):
                 self.model, self.features, self.labels = model, ds.features, ds.labels
                 self.clip_norm, self.per_layer = clip_norm, per_layer
 
-            def __call__(self, indices, sigma, lr, lot_size, rng):
-                batch_sizes.append(len(indices))
-                per_example_update(
-                    self.model, self.features[indices], self.labels[indices], sigma, lr,
-                    self.clip_norm, self.per_layer, rng, lot_size,
-                )
+            def __call__(self, batches, sigma, lr, lot_size, rng):
+                for indices in batches:
+                    batch_sizes.append(len(indices))
+                    per_example_update(
+                        self.model, self.features[indices], self.labels[indices], sigma, lr,
+                        self.clip_norm, self.per_layer, rng, len(indices) if lot_size is None else lot_size,
+                    )
 
         ghost, ghost_report = run()
         with monkeypatch.context() as patch:
@@ -633,10 +638,20 @@ class TestMatchesPerExampleUpdate:
             assert 15 <= batch_sizes.count(0) <= 45
 
 
+def single_batch_update(model, x, labels, clip_norm, sigma, per_layer, lr, lot_size, rng):
+    """One release on all of ``x`` in a fresh workspace, with its own noise
+    draw, applied as one SGD step: ``params -= lr * (total / lot_size)``,
+    with the batch's size for a lot size of None."""
+    total = clipped_sum(model, x, labels, clip_norm, per_layer) + rng.standard_normal(model.n_params) * (sigma * clip_norm)
+    model.params -= lr * (total / (len(x) if lot_size is None else lot_size))
+
+
 class TestTrainingStep:
-    """The trainer's step keeps one workspace per batch size across steps; a
-    fresh :func:`noisy_clipped_sum` plus the same update must agree with it
-    bit for bit, from the same generator state, whatever sizes came before."""
+    """The trainer's step runs an epoch's batches in one call, with their
+    noise drawn in blocks of rows and one workspace per batch size kept
+    across calls; k fresh single-batch releases, each with its own noise
+    draw, must agree with it bit for bit, parameters and generator state,
+    whatever sizes came before."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -645,37 +660,68 @@ class TestTrainingStep:
         drawn=st.lists(st.integers(0, 24), min_size=1, max_size=6),
         per_layer=st.booleans(),
         sigma=st.sampled_from([0.0, 0.8]),
+        lot_size=st.sampled_from([None, 3.5]),
+        # rows of a noise block: fewer than, or at least, the epoch's batches
+        block_rows=st.sampled_from([1, 2, 3, 64]),
         seed=st.integers(0, 2**16),
     )
-    def test_matches_noisy_clipped_sum_update(self, sizes, n, drawn, per_layer, sigma, seed):
+    def test_epoch_matches_single_batch_steps(self, sizes, n, drawn, per_layer, sigma, lot_size, block_rows, seed):
         sizes[-1] = max(sizes[-1], 2)
         model = nn.MlpModel.init(sizes, seed=seed)
         reference = nn.MlpModel(model.weights, model.biases)
         data_rng = np.random.default_rng(seed + 1)
         x = data_rng.normal(size=(n, sizes[0]))
         labels = data_rng.integers(0, sizes[-1], size=n)
-        clip_norm, lr, lot_size = 0.7, 0.3, 0.4 * n
-        step = dpsgd._TrainingStep(model, nn.Columns.load(model, x, labels), clip_norm, per_layer)
-        # each size comes back after the others, with 0 and n among them
-        batch_sizes = [min(b, n) for b in drawn] + [0, n]
+        clip_norm, lr = 0.7, 0.3
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dpsgd, "NOISE_BLOCK_BYTES", block_rows * 8 * model.n_params)
+            step = dpsgd._TrainingStep(model, nn.Columns.load(model, x, labels), clip_norm, per_layer)
+        assert step.block_rows == block_rows
+        # each size comes back after the others, with n and (when a lot size
+        # is given, as in rs training) 0 among them
+        smallest = 0 if lot_size else 1
+        batch_sizes = [min(max(b, smallest), n) for b in drawn] + [smallest, n]
         batch_sizes += batch_sizes[::-1]
+        epochs = [batch_sizes[: len(batch_sizes) // 2], batch_sizes[len(batch_sizes) // 2 :]]
         rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for size in batch_sizes:
-            indices = np.sort(data_rng.choice(n, size=size, replace=False))
-            step(indices, sigma, lr, lot_size, rng)
-            total = noisy_clipped_sum(reference, x[indices], labels[indices], clip_norm, sigma, per_layer, reference_rng)
-            reference.params -= lr * (total / lot_size)
+        for epoch in epochs:
+            batches = [np.sort(data_rng.choice(n, size=size, replace=False)) for size in epoch]
+            step(batches, sigma, lr, lot_size, rng)
+            for indices in batches:
+                single_batch_update(
+                    reference, x[indices], labels[indices], clip_norm, sigma, per_layer, lr, lot_size, reference_rng
+                )
             assert model.params.tobytes() == reference.params.tobytes()
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_noise_block_smaller_than_the_epoch(self):
+        # 151,502 parameters: one row takes more than half of the block's bytes
+        model = nn.MlpModel.init([300, 500, 2], seed=0)
+        reference = nn.MlpModel(model.weights, model.biases)
+        data_rng = np.random.default_rng(1)
+        x, labels = data_rng.normal(size=(8, 300)), data_rng.integers(0, 2, size=8)
+        step = dpsgd._TrainingStep(model, nn.Columns.load(model, x, labels), 1.0, False)
+        assert step.block_rows == 1
+        batches = [np.arange(3), np.arange(0), np.arange(8)]
+        rng, reference_rng = np.random.default_rng(2), np.random.default_rng(2)
+        step(batches, 1.5, 0.1, 4.0, rng)
+        for indices in batches:
+            single_batch_update(reference, x[indices], labels[indices], 1.0, 1.5, False, 0.1, 4.0, reference_rng)
+        assert len(step.noise) == 1
+        assert model.params.tobytes() == reference.params.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_buffers_start_cache_lines(self):
         model = nn.MlpModel.init([9, 10, 20, 10, 2], seed=0)
         step = dpsgd._TrainingStep(model, nn.Columns.load(model, np.ones((560, 9)), np.zeros(560, dtype=int)), 1.0, False)
         for n in (560, 140, 6):
-            step(np.arange(n), 1.0, 0.1, n, np.random.default_rng(0))
+            step([np.arange(n)] * 3, 1.0, 0.1, None, np.random.default_rng(0))
             batch = step.batches[n]
             assert batch.stacked.ctypes.data % nn.CACHE_LINE == 0
-        for array in (step.loaded.examples, step.noise):
-            assert array.ctypes.data % nn.CACHE_LINE == 0
+        assert step.loaded.examples.ctypes.data % nn.CACHE_LINE == 0
+        # 552 parameters fill whole cache lines, so every noise row starts one
+        assert len(step.noise) == 3
+        assert all(row.ctypes.data % nn.CACHE_LINE == 0 for row in step.noise)
 
     @pytest.mark.parametrize("per_layer", [False, True])
     def test_empty_batch_releases_the_noise_alone(self, per_layer):
@@ -684,18 +730,18 @@ class TestTrainingStep:
         rng = np.random.default_rng(1)
         x, labels = rng.normal(size=(30, 9)), rng.integers(0, 2, size=30)
         step = dpsgd._TrainingStep(model, nn.Columns.load(model, x, labels), 0.7, per_layer)
-        step.noisy_clipped_sum(np.arange(30), 1.3, rng)
-        state = rng.bit_generator.state
-        got = step.noisy_clipped_sum(np.arange(0), 1.3, rng)
+        step([np.arange(30)], 1.3, 0.1, 2.5, rng)
+        before, state = model.params.copy(), rng.bit_generator.state
+        step([np.arange(0)], 1.3, 0.1, 2.5, rng)
         replay = np.random.default_rng()
         replay.bit_generator.state = state
-        assert got.tobytes() == (replay.standard_normal(model.n_params) * (1.3 * 0.7)).tobytes()
+        assert model.params.tobytes() == (before - replay.standard_normal(model.n_params) * (1.3 * 0.7) / 2.5 * 0.1).tobytes()
 
     def test_labels_beyond_the_outputs_rejected(self):
         model = nn.MlpModel.init([2, 3, 2], seed=0)
         for bad in (-1, 2):
             with pytest.raises(DomainError, match="class ids below the model's 2 outputs"):
-                noisy_clipped_sum(model, np.ones((3, 2)), np.array([0, 1, bad]), 1.0, 1.0, False, np.random.default_rng(0))
+                clipped_sum(model, np.ones((3, 2)), np.array([0, 1, bad]), 1.0, False)
 
 
 class TestConfigValidation:
