@@ -17,9 +17,9 @@ and its budget check reads the very totals it records.  Logarithms are natural.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, islice, repeat
-from typing import List, NamedTuple, Optional
+from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 from .errors import DomainError, PreconditionError, UsageError
 
@@ -42,11 +42,31 @@ class EpsDelta(NamedTuple):
 
 
 class LedgerStep(NamedTuple):
+    """One release as the ledger charged it."""
+
     epoch: Optional[int]
     iteration: Optional[int]
     q: Optional[float]
     sigma: float
     cost: float
+
+
+class LedgerRecord(NamedTuple):
+    """One admission or charge: ``iterations`` consecutive iterations of
+    ``epoch``, numbered from ``iteration`` (None if unnumbered), each of
+    ``releases`` releases at ``(q, sigma)`` that cost ``cost`` apiece."""
+
+    epoch: Optional[int]
+    iteration: Optional[int]
+    iterations: int
+    releases: int
+    q: Optional[float]
+    sigma: float
+    cost: float
+
+    def step(self, k: int) -> LedgerStep:
+        """The step of each release of the record's ``k``-th iteration."""
+        return LedgerStep(self.epoch, None if self.iteration is None else self.iteration + k, self.q, self.sigma, self.cost)
 
 
 def _check_delta(delta: Optional[float]) -> None:
@@ -198,52 +218,84 @@ def _check_admission(budget: float, releases: int) -> None:
         raise DomainError(f"budget must be nonnegative, got {budget}")
 
 
-@dataclass
+@dataclass(init=False)
 class PrivacyLedger:
     """Append-only record of privacy charges under one batching regime.
 
     In "rf" mode the ledger accumulates ``rho_sum`` per epoch; in "rs" mode it
     accumulates ``rho_hat`` per iteration together with the smallest usable
-    order cap seen so far.  All entry points share one pricing and one
-    recording helper, so :meth:`replay` reproduces the totals bit for bit.
+    order cap seen so far.  Each admission or charge is priced once and kept
+    as one :class:`LedgerRecord` in ``records``, so an rs epoch of 100
+    iterations of 4 releases is one record, not 400 steps.  ``steps`` is a
+    read-only view of the records with one :class:`LedgerStep` per release.
+    Every entry point, :meth:`replay` included, charges through one helper,
+    so :meth:`replay` reproduces the records and totals bit for bit.
+
+    A ledger can also be built from per-release ``steps``, one record each,
+    with its totals given as they are; :meth:`replay` then recomputes them.
     """
 
     mode: str
-    rho_sum: float = 0.0
-    rho_hat: float = 0.0
-    u_alpha_min: float = math.inf
-    steps: List[LedgerStep] = field(default_factory=list)
+    rho_sum: float
+    rho_hat: float
+    u_alpha_min: float
+    records: List[LedgerRecord]
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("rf", "rs"):
-            raise UsageError(f"ledger mode must be 'rf' or 'rs', got {self.mode!r}")
+    def __init__(
+        self,
+        mode: str,
+        rho_sum: float = 0.0,
+        rho_hat: float = 0.0,
+        u_alpha_min: float = math.inf,
+        steps: Iterable[LedgerStep] = (),
+    ) -> None:
+        if mode not in ("rf", "rs"):
+            raise UsageError(f"ledger mode must be 'rf' or 'rs', got {mode!r}")
+        self.mode, self.rho_sum, self.rho_hat, self.u_alpha_min = mode, rho_sum, rho_hat, u_alpha_min
+        self.records = [LedgerRecord(s.epoch, s.iteration, 1, 1, s.q, s.sigma, s.cost) for s in steps]
 
-    def _price(self, sigma: float, q: Optional[float], epoch: Optional[int], iteration: Optional[int]) -> LedgerStep:
-        """Validate one release and return its step, cost included."""
-        if self.mode == "rf":
-            return LedgerStep(epoch, None, None, sigma, gaussian_rho(sigma))
-        check_rs_release(q, sigma)
-        return LedgerStep(epoch, iteration, q, sigma, q * q / (sigma * sigma))
+    @property
+    def steps(self) -> "LedgerSteps":
+        return LedgerSteps(self.records)
 
     def _record(
-        self, step: LedgerStep, releases: int = 1, budget: Optional[float] = None, delta: Optional[float] = None
-    ) -> bool:
-        """Add ``releases`` copies of ``step`` to the totals one at a time and to
-        ``steps``, unless the spend they report exceeds a given ``budget``."""
-        total = self.total_rho
-        for _ in range(releases):
-            total += step.cost
+        self,
+        sigma: float,
+        q: Optional[float],
+        epoch: Optional[int],
+        iteration: Optional[int],
+        iterations: int = 1,
+        releases: int = 1,
+        budget: Optional[float] = None,
+        delta: Optional[float] = None,
+    ) -> int:
+        """Price one release at ``(q, sigma)``, then charge up to ``iterations``
+        iterations of ``releases`` releases each, adding the cost to the
+        running total one release at a time, and stop before the first
+        iteration whose total a given ``budget`` refuses.  Record the charged
+        iterations as one record and return their count."""
         if self.mode == "rf":
-            if budget is not None and rf_refuses(total, budget):
-                return False
-            self.rho_sum = total
+            q, iteration, cost = None, None, gaussian_rho(sigma)
         else:
-            u_alpha = min(self.u_alpha_min, rs_order_cap(step.q, step.sigma))
-            if budget is not None and rs_refuses(total, u_alpha, budget, delta):
-                return False
-            self.rho_hat, self.u_alpha_min = total, u_alpha
-        self.steps += [step] * releases
-        return True
+            check_rs_release(q, sigma)
+            cost = q * q / (sigma * sigma)
+            u_alpha = min(self.u_alpha_min, rs_order_cap(q, sigma))
+        # the running total after each iteration's releases, added one at a time
+        totals = islice(accumulate(repeat(cost, iterations * releases), initial=self.total_rho), releases, None, releases)
+        charged = 0
+        for candidate in totals:
+            if budget is not None and (
+                rf_refuses(candidate, budget) if self.mode == "rf" else rs_refuses(candidate, u_alpha, budget, delta)
+            ):
+                break
+            total, charged = candidate, charged + 1
+        if charged:
+            if self.mode == "rf":
+                self.rho_sum = total
+            else:
+                self.rho_hat, self.u_alpha_min = total, u_alpha
+            self.records.append(LedgerRecord(epoch, iteration, charged, releases, q, sigma, cost))
+        return charged
 
     def charge_rf_epoch(self, sigma: float, epoch: Optional[int] = None) -> "PrivacyLedger":
         """Charge one epoch of reshuffled training at noise scale ``sigma``.
@@ -253,7 +305,7 @@ class PrivacyLedger:
         """
         if self.mode != "rf":
             raise UsageError("charge_rf_epoch requires an rf-mode ledger")
-        self._record(self._price(sigma, None, epoch, None))
+        self._record(sigma, None, epoch, None)
         return self
 
     def charge_rs_iteration(
@@ -267,7 +319,7 @@ class PrivacyLedger:
         the order cap to ``min(u_alpha_min, sigma^2 log(1/(q sigma)) + 1)``."""
         if self.mode != "rs":
             raise UsageError("charge_rs_iteration requires an rs-mode ledger")
-        self._record(self._price(sigma, q, epoch, iteration))
+        self._record(sigma, q, epoch, iteration)
         return self
 
     def admit(
@@ -290,7 +342,7 @@ class PrivacyLedger:
         totals recorded.  Returns whether the charge was made.
         """
         _check_admission(budget, releases)
-        return self._record(self._price(sigma, q, epoch, iteration), releases, budget, delta)
+        return self._record(sigma, q, epoch, iteration, 1, releases, budget, delta) == 1
 
     def admit_iterations(
         self,
@@ -319,18 +371,7 @@ class PrivacyLedger:
         if iterations < 0:
             raise DomainError(f"iterations must be nonnegative, got {iterations}")
         _check_admission(budget, releases)
-        epoch, _, q, sigma, cost = self._price(sigma, q, epoch, 0)
-        u_alpha = min(self.u_alpha_min, rs_order_cap(q, sigma))
-        # the running total after each iteration's releases, added one at a time
-        totals = islice(accumulate(repeat(cost, iterations * releases), initial=self.rho_hat), releases, None, releases)
-        admitted = 0
-        for total in totals:
-            if rs_refuses(total, u_alpha, budget, delta):
-                break
-            self.rho_hat, self.u_alpha_min = total, u_alpha
-            admitted += 1
-        self.steps += [LedgerStep(epoch, i, q, sigma, cost) for i in range(admitted) for _ in range(releases)]
-        return admitted
+        return self._record(sigma, q, epoch, 0, iterations, releases, budget, delta)
 
     @property
     def total_rho(self) -> float:
@@ -338,13 +379,57 @@ class PrivacyLedger:
 
     def to_dp(self, delta: float) -> EpsDelta:
         """Convert the cumulative cost to an (eps, delta) guarantee; eps is 0 if empty."""
-        if self.mode == "rf" or not self.steps:
+        if self.mode == "rf" or not self.records:
             return zcdp_to_dp(self.total_rho, delta)
         return EpsDelta(rs_eps(self.rho_hat, self.u_alpha_min, delta), delta)
 
     def replay(self) -> "PrivacyLedger":
-        """Rebuild a fresh ledger from the recorded steps."""
+        """Rebuild a fresh ledger from the records, pricing each once and
+        adding its costs one release at a time."""
         fresh = PrivacyLedger(self.mode)
-        for step in self.steps:
-            fresh._record(fresh._price(step.sigma, step.q, step.epoch, step.iteration))
+        for r in self.records:
+            fresh._record(r.sigma, r.q, r.epoch, r.iteration, r.iterations, r.releases)
         return fresh
+
+
+class LedgerSteps:
+    """A read-only view of a ledger's records as one :class:`LedgerStep` per
+    release, in charge order.  Steps are built as they are read, so ``len``,
+    iteration, indexing and ``==`` hold no per-release list; a slice is a
+    list."""
+
+    __slots__ = ("_records",)
+
+    def __init__(self, records: List[LedgerRecord]) -> None:
+        self._records = records
+
+    def __len__(self) -> int:
+        return sum(r.iterations * r.releases for r in self._records)
+
+    def __iter__(self) -> Iterator[LedgerStep]:
+        for r in self._records:
+            for k in range(r.iterations):
+                yield from repeat(r.step(k), r.releases)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        size = len(self)
+        if not -size <= index < size:
+            raise IndexError("ledger step index out of range")
+        index %= size
+        for r in self._records:
+            if index < r.iterations * r.releases:
+                return r.step(index // r.releases)
+            index -= r.iterations * r.releases
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, LedgerSteps):
+            if self._records == other._records:
+                return True
+        elif not isinstance(other, (list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"LedgerSteps({list(self)!r})"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -264,7 +265,7 @@ class TestRsSigmaFloor:
 
     def test_replay_refuses_a_step_below_the_floor(self):
         ledger = PrivacyLedger("rs")
-        ledger.steps.append(accounting.LedgerStep(0, 0, 0.01, 1.9, 0.01 ** 2 / 1.9 ** 2))
+        ledger.records.append(accounting.LedgerRecord(0, 0, 1, 1, 0.01, 1.9, 0.01 ** 2 / 1.9 ** 2))
         with pytest.raises(PreconditionError):
             ledger.replay()
 
@@ -466,6 +467,169 @@ class TestAdmitIterations:
             PrivacyLedger("rs").admit_iterations(6.0, float("nan"), 1e-5, 0.01, 3)
         with pytest.raises(PreconditionError):
             PrivacyLedger("rs").admit_iterations(1.5, 1.0, 1e-5, 0.01, 3)  # below RS_SIGMA_MIN
+
+
+class PerReleaseLedger:
+    """The ledger as first written, one LedgerStep per iteration and release:
+    the oracle for the record-per-admission ledger."""
+
+    def __init__(self, mode):
+        self.mode, self.rho_sum, self.rho_hat, self.u_alpha_min, self.steps = mode, 0.0, 0.0, math.inf, []
+
+    def _price(self, sigma, q, epoch, iteration):
+        if self.mode == "rf":
+            return accounting.LedgerStep(epoch, None, None, sigma, accounting.gaussian_rho(sigma))
+        accounting.check_rs_release(q, sigma)
+        return accounting.LedgerStep(epoch, iteration, q, sigma, q * q / (sigma * sigma))
+
+    def _record(self, step, releases=1, budget=None, delta=None):
+        total = self.total_rho
+        for _ in range(releases):
+            total += step.cost
+        if self.mode == "rf":
+            if budget is not None and accounting.rf_refuses(total, budget):
+                return False
+            self.rho_sum = total
+        else:
+            u_alpha = min(self.u_alpha_min, accounting.rs_order_cap(step.q, step.sigma))
+            if budget is not None and accounting.rs_refuses(total, u_alpha, budget, delta):
+                return False
+            self.rho_hat, self.u_alpha_min = total, u_alpha
+        self.steps += [step] * releases
+        return True
+
+    def charge(self, sigma, q=None, epoch=None, iteration=None):
+        self._record(self._price(sigma, q, epoch, iteration))
+
+    def admit(self, sigma, budget, delta=None, q=None, releases=1, epoch=None, iteration=None):
+        return self._record(self._price(sigma, q, epoch, iteration), releases, budget, delta)
+
+    def admit_iterations(self, sigma, budget, delta, q, iterations, releases=1, epoch=None):
+        admitted = 0
+        while admitted < iterations and self.admit(sigma, budget, delta, q, releases, epoch, admitted):
+            admitted += 1
+        return admitted
+
+    @property
+    def total_rho(self):
+        return self.rho_sum if self.mode == "rf" else self.rho_hat
+
+    def to_dp(self, delta):
+        if self.mode == "rf" or not self.steps:
+            return accounting.zcdp_to_dp(self.total_rho, delta)
+        return EpsDelta(accounting.rs_eps(self.rho_hat, self.u_alpha_min, delta), delta)
+
+
+@st.composite
+def _ledger_calls(draw):
+    """(mode, calls) for one ledger.  Each call is (method, sigma, q,
+    iterations, releases, share): ``share`` places the budget between the
+    spend before the call (0) and the spend after all of it (1), so that
+    calls are refused, admitted in part or admitted whole.  ``admit`` takes
+    one iteration, ``charge`` one release without a budget."""
+    mode = draw(st.sampled_from(["rf", "rs"]))
+    methods = ["admit", "charge"] + (["admit_iterations"] if mode == "rs" else [])
+    calls = []
+    for _ in range(draw(st.integers(1, 8))):
+        method = draw(st.sampled_from(methods))
+        sigma = draw(st.floats(1.0 if mode == "rf" else accounting.RS_SIGMA_MIN, 20.0))
+        q = draw(st.floats(0.05, 1.0)) / (16.0 * sigma) if mode == "rs" else None
+        iterations = draw(st.integers(0, 300)) if method == "admit_iterations" else 1
+        releases = draw(st.integers(1, 4)) if method != "charge" else 1
+        share = draw(st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 1.5)))
+        calls.append((method, sigma, q, iterations, releases, share))
+    return mode, calls
+
+
+def _budget(oracle, sigma, q, iterations, releases, share):
+    """A budget at the spend after ``share`` of ``iterations * releases``
+    more releases at ``(q, sigma)`` than the oracle has charged."""
+    n = iterations * releases
+    if oracle.mode == "rf":
+        return oracle.rho_sum + share * n * accounting.gaussian_rho(sigma)
+    u_alpha = min(oracle.u_alpha_min, accounting.rs_order_cap(q, sigma))
+    return accounting.rs_eps(oracle.rho_hat + share * n * q * q / (sigma * sigma), u_alpha, DELTA)
+
+
+class TestRecordPerAdmission:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_ledger_calls())
+    def test_equals_the_per_release_oracle(self, case):
+        mode, calls = case
+        ledger, oracle = PrivacyLedger(mode), PerReleaseLedger(mode)
+        for epoch, (method, sigma, q, iterations, releases, share) in enumerate(calls):
+            budget = _budget(oracle, sigma, q, iterations, releases, share)
+            if method == "charge":
+                if mode == "rf":
+                    ledger.charge_rf_epoch(sigma, epoch=epoch)
+                else:
+                    ledger.charge_rs_iteration(q, sigma, epoch=epoch, iteration=epoch)
+                oracle.charge(sigma, q, epoch, epoch)
+            elif method == "admit":
+                got = ledger.admit(sigma, budget, DELTA, q=q, releases=releases, epoch=epoch, iteration=epoch)
+                assert got == oracle.admit(sigma, budget, DELTA, q, releases, epoch, epoch)
+            else:
+                got = ledger.admit_iterations(sigma, budget, DELTA, q, iterations, releases=releases, epoch=epoch)
+                assert got == oracle.admit_iterations(sigma, budget, DELTA, q, iterations, releases, epoch)
+            assert len(ledger.records) <= epoch + 1
+        assert list(ledger.steps) == oracle.steps
+        assert len(ledger.steps) == len(oracle.steps)
+        assert (ledger.rho_sum, ledger.rho_hat, ledger.u_alpha_min) == (oracle.rho_sum, oracle.rho_hat, oracle.u_alpha_min)
+        assert ledger.to_dp(DELTA) == oracle.to_dp(DELTA)
+        replayed = ledger.replay()
+        assert replayed.records == ledger.records
+        assert (replayed.rho_sum, replayed.rho_hat, replayed.u_alpha_min) == (ledger.rho_sum, ledger.rho_hat, ledger.u_alpha_min)
+
+    def test_one_record_per_admission_and_flat_memory(self):
+        ledger = PrivacyLedger("rs")
+        for epoch in range(300):
+            assert ledger.admit_iterations(4.0, math.inf, DELTA, 0.01, 100, releases=4, epoch=epoch) == 100
+        assert len(ledger.records) == 300
+        assert ledger.records[-1] == accounting.LedgerRecord(299, 0, 100, 4, 0.01, 4.0, 0.01 ** 2 / 16.0)
+
+        def peak_mib(read):
+            tracemalloc.start()
+            try:
+                read()
+                return tracemalloc.get_traced_memory()[1] / 2 ** 20
+            finally:
+                tracemalloc.stop()
+
+        def read_view():
+            assert len(ledger.steps) == 120_000
+            assert ledger.steps == ledger.replay().steps
+            assert ledger.steps[-1] == accounting.LedgerStep(299, 99, 0.01, 4.0, 0.01 ** 2 / 16.0)
+
+        assert peak_mib(read_view) < 1.0
+        assert peak_mib(lambda: list(ledger.steps)) > 2.0  # the per-release list the view does not build
+
+    def test_steps_view_reads_like_the_per_release_list(self):
+        ledger = PrivacyLedger("rs").charge_rs_iteration(0.01, 6.0)
+        ledger.admit_iterations(6.0, 1.0, DELTA, 0.01, 3, releases=2, epoch=1)
+        steps = list(ledger.steps)
+        assert len(steps) == len(ledger.steps) == 7
+        assert [ledger.steps[i] for i in range(-7, 7)] == steps + steps
+        assert ledger.steps[2:5] == steps[2:5] and ledger.steps[::-1] == steps[::-1]
+        assert ledger.steps == steps and ledger.steps == tuple(steps) and ledger.steps != steps[:-1]
+        assert ledger.steps == PrivacyLedger("rs", steps=steps).steps
+        assert ledger.steps != "not steps"
+        for index in (7, -8):
+            with pytest.raises(IndexError):
+                ledger.steps[index]
+        with pytest.raises(AttributeError):
+            ledger.steps = []
+
+    def test_built_from_steps_replays_them(self):
+        # perfbench's broken-ledger check: a ledger with one step dropped replays to a different total
+        ledger = PrivacyLedger("rf")
+        for epoch in range(3):
+            ledger.admit(6.0, 1.0, releases=2, epoch=epoch)
+        rebuilt = PrivacyLedger("rf", rho_sum=ledger.rho_sum, steps=ledger.steps)
+        assert rebuilt.steps == ledger.steps and len(rebuilt.records) == 6
+        assert rebuilt.replay().rho_sum == ledger.rho_sum
+        broken = PrivacyLedger("rf", rho_sum=ledger.rho_sum, steps=ledger.steps[:-1])
+        assert broken.replay().rho_sum != broken.rho_sum
+        assert broken.replay().steps == ledger.steps[:-1] != ledger.steps
 
 
 @st.composite

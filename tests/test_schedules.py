@@ -48,7 +48,7 @@ def _ledger_horizon(schedule, rho_total, max_epochs=1_000_000):
     ledger = PrivacyLedger("rf")
     epoch = 0
     while epoch < max_epochs and ledger.admit(_reference_sigma(schedule, epoch), rho_total):
-        ledger.steps.clear()  # an rf admission reads only the running total
+        ledger.records.clear()  # an rf admission reads only the running total
         epoch += 1
     return epoch
 
