@@ -41,20 +41,11 @@ class EpsDelta(NamedTuple):
     delta: float
 
 
-class LedgerStep(NamedTuple):
-    """One release as the ledger charged it."""
-
-    epoch: Optional[int]
-    iteration: Optional[int]
-    q: Optional[float]
-    sigma: float
-    cost: float
-
-
 class LedgerRecord(NamedTuple):
     """One admission or charge: ``iterations`` consecutive iterations of
     ``epoch``, numbered from ``iteration`` (None if unnumbered), each of
-    ``releases`` releases at ``(q, sigma)`` that cost ``cost`` apiece."""
+    ``releases`` releases at ``(q, sigma)`` that cost ``cost`` apiece.  A
+    single release is the record of one iteration and one release."""
 
     epoch: Optional[int]
     iteration: Optional[int]
@@ -63,10 +54,6 @@ class LedgerRecord(NamedTuple):
     q: Optional[float]
     sigma: float
     cost: float
-
-    def step(self, k: int) -> LedgerStep:
-        """The step of each release of the record's ``k``-th iteration."""
-        return LedgerStep(self.epoch, None if self.iteration is None else self.iteration + k, self.q, self.sigma, self.cost)
 
 
 def _check_delta(delta: Optional[float]) -> None:
@@ -211,13 +198,6 @@ def rs_refuses(total: float, u_alpha: float, budget: float, delta: float) -> boo
     return rs_eps(total, u_alpha, delta) > budget
 
 
-def _check_admission(budget: float, releases: int) -> None:
-    if releases < 1:
-        raise DomainError(f"releases must be at least 1, got {releases}")
-    if not budget >= 0.0:
-        raise DomainError(f"budget must be nonnegative, got {budget}")
-
-
 @dataclass(init=False)
 class PrivacyLedger:
     """Append-only record of privacy charges under one batching regime.
@@ -226,13 +206,13 @@ class PrivacyLedger:
     accumulates ``rho_hat`` per iteration together with the smallest usable
     order cap seen so far.  Each admission or charge is priced once and kept
     as one :class:`LedgerRecord` in ``records``, so an rs epoch of 100
-    iterations of 4 releases is one record, not 400 steps.  ``steps`` is a
-    read-only view of the records with one :class:`LedgerStep` per release.
-    Every entry point, :meth:`replay` included, charges through one helper,
-    so :meth:`replay` reproduces the records and totals bit for bit.
+    iterations of 4 releases is one record, not 400.  ``steps`` is a
+    read-only view of the records with one single-release record per
+    release.  Every entry point, :meth:`replay` included, charges through one
+    helper, so :meth:`replay` reproduces the records and totals bit for bit.
 
-    A ledger can also be built from per-release ``steps``, one record each,
-    with its totals given as they are; :meth:`replay` then recomputes them.
+    A ledger can also be built from given records, ``steps``, with its
+    totals given as they are; :meth:`replay` then recomputes them.
     """
 
     mode: str
@@ -247,16 +227,16 @@ class PrivacyLedger:
         rho_sum: float = 0.0,
         rho_hat: float = 0.0,
         u_alpha_min: float = math.inf,
-        steps: Iterable[LedgerStep] = (),
+        steps: Iterable[LedgerRecord] = (),
     ) -> None:
         if mode not in ("rf", "rs"):
             raise UsageError(f"ledger mode must be 'rf' or 'rs', got {mode!r}")
         self.mode, self.rho_sum, self.rho_hat, self.u_alpha_min = mode, rho_sum, rho_hat, u_alpha_min
-        self.records = [LedgerRecord(s.epoch, s.iteration, 1, 1, s.q, s.sigma, s.cost) for s in steps]
+        self.records = list(steps)
 
     @property
-    def steps(self) -> "LedgerSteps":
-        return LedgerSteps(self.records)
+    def steps(self) -> "ReleaseView":
+        return ReleaseView(self.records)
 
     def _record(
         self,
@@ -331,47 +311,29 @@ class PrivacyLedger:
         releases: int = 1,
         epoch: Optional[int] = None,
         iteration: Optional[int] = None,
-    ) -> bool:
-        """Charge ``releases`` Gaussian releases at noise scale ``sigma`` if the
-        spend after them fits ``budget``; otherwise change nothing.
-
-        In rf mode each release is one epoch and ``budget`` is a zCDP total
-        (compared with tolerance :data:`BUDGET_TOL`; ``delta`` is unused); in
-        rs mode each release is one iteration at sampling ratio ``q`` and
-        ``budget`` is an eps total at ``delta``.  The totals checked are the
-        totals recorded.  Returns whether the charge was made.
-        """
-        _check_admission(budget, releases)
-        return self._record(sigma, q, epoch, iteration, 1, releases, budget, delta) == 1
-
-    def admit_iterations(
-        self,
-        sigma: float,
-        budget: float,
-        delta: float,
-        q: float,
-        iterations: int,
-        releases: int = 1,
-        epoch: Optional[int] = None,
+        iterations: int = 1,
     ) -> int:
-        """Charge up to ``iterations`` sampled iterations of one epoch,
-        numbered from 0, each of ``releases`` releases at ``(q, sigma)``; stop
-        before the first whose spend would exceed the eps ``budget`` at
-        ``delta``.  Returns how many were charged.
+        """Charge up to ``iterations`` iterations, numbered from ``iteration``,
+        each of ``releases`` Gaussian releases at noise scale ``sigma``; stop
+        before the first whose spend would exceed ``budget``.  Returns how
+        many were charged; a refused first iteration changes nothing.
 
-        The epoch is priced once, one release check and one order cap for
-        all its iterations.  Every prefix total is formed with the additions
-        that :meth:`admit` would make, left to right, and the first that
-        :func:`rs_refuses` ends the count, so the result, the steps and the
-        totals equal those of a loop of :meth:`admit` calls, one per
-        iteration, that stops at the first refusal.
+        In rf mode an iteration is one epoch and ``budget`` is a zCDP total
+        (compared with tolerance :data:`BUDGET_TOL`; ``delta`` is unused); in
+        rs mode it is one sampled batch at ratio ``q`` and ``budget`` is an
+        eps total at ``delta``.  The admission is priced
+        once, and the totals checked are the totals recorded: every prefix
+        total is formed with the additions of a loop of one-iteration
+        admissions, left to right, so the count, the records' releases and
+        the totals equal that loop's.
         """
-        if self.mode != "rs":
-            raise UsageError("admit_iterations requires an rs-mode ledger")
         if iterations < 0:
             raise DomainError(f"iterations must be nonnegative, got {iterations}")
-        _check_admission(budget, releases)
-        return self._record(sigma, q, epoch, 0, iterations, releases, budget, delta)
+        if releases < 1:
+            raise DomainError(f"releases must be at least 1, got {releases}")
+        if not budget >= 0.0:
+            raise DomainError(f"budget must be nonnegative, got {budget}")
+        return self._record(sigma, q, epoch, iteration, iterations, releases, budget, delta)
 
     @property
     def total_rho(self) -> float:
@@ -392,11 +354,17 @@ class PrivacyLedger:
         return fresh
 
 
-class LedgerSteps:
-    """A read-only view of a ledger's records as one :class:`LedgerStep` per
-    release, in charge order.  Steps are built as they are read, so ``len``,
-    iteration, indexing and ``==`` hold no per-release list; a slice is a
-    list."""
+def _release(record: LedgerRecord, k: int) -> LedgerRecord:
+    """The single-release record of each release of ``record``'s ``k``-th iteration."""
+    iteration = None if record.iteration is None else record.iteration + k
+    return LedgerRecord(record.epoch, iteration, 1, 1, record.q, record.sigma, record.cost)
+
+
+class ReleaseView:
+    """A read-only view of a ledger's records as one single-release
+    :class:`LedgerRecord` per release, in charge order.  The elements are
+    built as they are read, so ``len``, iteration, indexing and ``==`` hold
+    no per-release list; a slice is a list."""
 
     __slots__ = ("_records",)
 
@@ -406,10 +374,10 @@ class LedgerSteps:
     def __len__(self) -> int:
         return sum(r.iterations * r.releases for r in self._records)
 
-    def __iter__(self) -> Iterator[LedgerStep]:
+    def __iter__(self) -> Iterator[LedgerRecord]:
         for r in self._records:
             for k in range(r.iterations):
-                yield from repeat(r.step(k), r.releases)
+                yield from repeat(_release(r, k), r.releases)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -420,11 +388,11 @@ class LedgerSteps:
         index %= size
         for r in self._records:
             if index < r.iterations * r.releases:
-                return r.step(index // r.releases)
+                return _release(r, index // r.releases)
             index -= r.iterations * r.releases
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, LedgerSteps):
+        if isinstance(other, ReleaseView):
             if self._records == other._records:
                 return True
         elif not isinstance(other, (list, tuple)):
@@ -432,4 +400,4 @@ class LedgerSteps:
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def __repr__(self) -> str:
-        return f"LedgerSteps({list(self)!r})"
+        return f"ReleaseView({list(self)!r})"

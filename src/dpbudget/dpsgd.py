@@ -7,8 +7,11 @@ training stops as soon as the next charge would overrun the budget.  Noise
 scales come from a :class:`~dpbudget.schedules.NoiseSchedule`, including the
 feedback-driven validation schedule.  Each epoch's batches go through one
 call of a :class:`_TrainingStep`, built once per run, which owns the buffers
-of the clipped, noised sums and of the updates.  An rs epoch is admitted in
-one pass over its running totals (:meth:`PrivacyLedger.admit_iterations`).
+of the clipped, noised sums and of the updates.  Each epoch is admitted by
+one :meth:`PrivacyLedger.admit` call: one unit under reshuffling, the
+epoch's iterations under sampling, priced in one pass over their running
+totals.  A step that leaves a parameter non-finite is refused, so no NaN or
+infinite model is published.
 
 Randomness is a single seeded numpy PCG64 generator consumed in a fixed
 order, so a (config, seed) pair reproduces its report bit for bit: each
@@ -265,7 +268,12 @@ def train(
     step = _TrainingStep(model, loaded, config.clip_norm, config.per_layer_clip)
     # rs divides by the expected lot size q n, not the sampled batch size, so
     # that the update's scale does not depend on the data.
-    lot_size = None if config.q is None else config.q * n
+    if config.batching == "rf":
+        asked, budget, lot_size = 1, config.rho_total, None
+        batch_size = n if config.batch_size is None else config.batch_size
+    else:
+        asked = round(1.0 / config.q) if config.iters_per_epoch is None else config.iters_per_epoch
+        budget, lot_size = config.eps_total, config.q * n
 
     ledger = PrivacyLedger(config.batching)
     records: List[EpochRecord] = []
@@ -291,20 +299,15 @@ def train(
         else:
             sigma = sigma_at(config.schedule, epoch)
 
-        if config.batching == "rf":
-            if not ledger.admit(sigma, config.rho_total, config.delta, releases=releases, epoch=epoch):
-                stop_reason = "budget_exhausted"
-                break
-            step(rf_batches(n, n if config.batch_size is None else config.batch_size, rng), sigma, config.lr, None, rng)
-        else:
-            iters = round(1.0 / config.q) if config.iters_per_epoch is None else config.iters_per_epoch
-            admitted = ledger.admit_iterations(
-                sigma, config.eps_total, config.delta, config.q, iters, releases=releases, epoch=epoch
-            )
-            step(rs_batches(n, config.q, admitted, rng), sigma, config.lr, lot_size, rng)
-            if admitted < iters:
-                stop_reason = "budget_exhausted"
-                break
+        admitted = ledger.admit(sigma, budget, config.delta, config.q, releases, epoch, iteration=0, iterations=asked)
+        if admitted:
+            batches = rf_batches(n, batch_size, rng) if config.batching == "rf" else rs_batches(n, config.q, admitted, rng)
+            step(batches, sigma, config.lr, lot_size, rng)
+            if not np.isfinite(model.params).all():
+                raise DomainError(f"epoch {epoch} left non-finite model parameters; no model is published")
+        if admitted < asked:
+            stop_reason = "budget_exhausted"
+            break
 
         snapshot(epoch, sigma)
         if controller is not None:

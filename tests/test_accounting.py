@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -313,12 +314,12 @@ class TestAdmit:
         budget = 2.5 * accounting.gaussian_rho(6.0)
         assert not ledger.admit(6.0, budget, 1e-5, releases=3)
         assert ledger.admit(6.0, budget, 1e-5, releases=2, epoch=0)
-        assert ledger.steps == [accounting.LedgerStep(0, None, None, 6.0, accounting.gaussian_rho(6.0))] * 2
+        assert ledger.steps == [accounting.LedgerRecord(0, None, 1, 1, None, 6.0, accounting.gaussian_rho(6.0))] * 2
 
     def test_rs_releases_are_separate_steps(self):
         ledger = PrivacyLedger("rs")
         assert ledger.admit(6.0, 1.0, 1e-5, q=0.01, releases=3, epoch=0, iteration=4)
-        assert ledger.steps == [accounting.LedgerStep(0, 4, 0.01, 6.0, 0.01 ** 2 / 36.0)] * 3
+        assert ledger.steps == [accounting.LedgerRecord(0, 4, 1, 1, 0.01, 6.0, 0.01 ** 2 / 36.0)] * 3
         assert ledger.u_alpha_min == accounting.rs_order_cap(0.01, 6.0)
         assert ledger.replay().rho_hat == ledger.rho_hat
 
@@ -436,7 +437,7 @@ class TestAdmitIterations:
         epochs, budget = case
         batched, looped = PrivacyLedger("rs"), PrivacyLedger("rs")
         for epoch, (sigma, q, iterations, releases) in enumerate(epochs):
-            admitted = batched.admit_iterations(sigma, budget, DELTA, q, iterations, releases=releases, epoch=epoch)
+            admitted = batched.admit(sigma, budget, DELTA, q, releases, epoch, 0, iterations=iterations)
             stop = 0
             while stop < iterations and looped.admit(sigma, budget, DELTA, q=q, releases=releases, epoch=epoch, iteration=stop):
                 stop += 1
@@ -447,40 +448,56 @@ class TestAdmitIterations:
 
     def test_records_each_iteration_and_release(self):
         ledger = PrivacyLedger("rs")
-        assert ledger.admit_iterations(6.0, 1.0, 1e-5, 0.01, 3, releases=2, epoch=5) == 3
+        assert ledger.admit(6.0, 1.0, 1e-5, 0.01, releases=2, epoch=5, iteration=0, iterations=3) == 3
         cost = 0.01 ** 2 / 36.0
-        assert ledger.steps == [accounting.LedgerStep(5, it, 0.01, 6.0, cost) for it in range(3) for _ in range(2)]
+        assert ledger.steps == [accounting.LedgerRecord(5, it, 1, 1, 0.01, 6.0, cost) for it in range(3) for _ in range(2)]
 
     def test_zero_iterations_change_nothing(self):
-        ledger = PrivacyLedger("rs")
-        assert ledger.admit_iterations(6.0, 1.0, 1e-5, 0.01, 0) == 0
-        assert _state(ledger) == _state(PrivacyLedger("rs"))
+        for mode, q in (("rf", None), ("rs", 0.01)):
+            ledger = PrivacyLedger(mode)
+            assert ledger.admit(6.0, 1.0, 1e-5, q, iterations=0) == 0
+            assert _state(ledger) == _state(PrivacyLedger(mode))
+
+    def test_rf_iterations_are_epochs_at_one_sigma(self):
+        ledger = PrivacyLedger("rf")
+        budget = 3.5 * accounting.gaussian_rho(6.0)
+        assert ledger.admit(6.0, budget, releases=1, epoch=2, iterations=5) == 3
+        assert ledger.records == [accounting.LedgerRecord(2, None, 3, 1, None, 6.0, accounting.gaussian_rho(6.0))]
+        assert ledger.rho_sum == 3 * accounting.gaussian_rho(6.0)
 
     def test_validates(self):
-        with pytest.raises(UsageError):
-            PrivacyLedger("rf").admit_iterations(6.0, 1.0, 1e-5, 0.01, 3)
         with pytest.raises(DomainError):
-            PrivacyLedger("rs").admit_iterations(6.0, 1.0, 1e-5, 0.01, -1)
+            PrivacyLedger("rs").admit(6.0, 1.0, 1e-5, 0.01, iterations=-1)
         with pytest.raises(DomainError):
-            PrivacyLedger("rs").admit_iterations(6.0, 1.0, 1e-5, 0.01, 3, releases=0)
+            PrivacyLedger("rs").admit(6.0, 1.0, 1e-5, 0.01, releases=0, iterations=3)
         with pytest.raises(DomainError):
-            PrivacyLedger("rs").admit_iterations(6.0, float("nan"), 1e-5, 0.01, 3)
+            PrivacyLedger("rs").admit(6.0, float("nan"), 1e-5, 0.01, iterations=3)
         with pytest.raises(PreconditionError):
-            PrivacyLedger("rs").admit_iterations(1.5, 1.0, 1e-5, 0.01, 3)  # below RS_SIGMA_MIN
+            PrivacyLedger("rs").admit(1.5, 1.0, 1e-5, 0.01, iterations=3)  # below RS_SIGMA_MIN
+
+
+class Step(NamedTuple):
+    """One release as the per-release ledger charged it."""
+
+    epoch: Optional[int]
+    iteration: Optional[int]
+    q: Optional[float]
+    sigma: float
+    cost: float
 
 
 class PerReleaseLedger:
-    """The ledger as first written, one LedgerStep per iteration and release:
-    the oracle for the record-per-admission ledger."""
+    """The ledger as first written, one Step per iteration and release: the
+    oracle for the record-per-admission ledger."""
 
     def __init__(self, mode):
         self.mode, self.rho_sum, self.rho_hat, self.u_alpha_min, self.steps = mode, 0.0, 0.0, math.inf, []
 
     def _price(self, sigma, q, epoch, iteration):
         if self.mode == "rf":
-            return accounting.LedgerStep(epoch, None, None, sigma, accounting.gaussian_rho(sigma))
+            return Step(epoch, None, None, sigma, accounting.gaussian_rho(sigma))
         accounting.check_rs_release(q, sigma)
-        return accounting.LedgerStep(epoch, iteration, q, sigma, q * q / (sigma * sigma))
+        return Step(epoch, iteration, q, sigma, q * q / (sigma * sigma))
 
     def _record(self, step, releases=1, budget=None, delta=None):
         total = self.total_rho
@@ -501,12 +518,13 @@ class PerReleaseLedger:
     def charge(self, sigma, q=None, epoch=None, iteration=None):
         self._record(self._price(sigma, q, epoch, iteration))
 
-    def admit(self, sigma, budget, delta=None, q=None, releases=1, epoch=None, iteration=None):
-        return self._record(self._price(sigma, q, epoch, iteration), releases, budget, delta)
-
-    def admit_iterations(self, sigma, budget, delta, q, iterations, releases=1, epoch=None):
+    def admit(self, sigma, budget, delta=None, q=None, releases=1, epoch=None, iteration=None, iterations=1):
+        """One release check per iteration, numbered from ``iteration``, up to the first refusal."""
         admitted = 0
-        while admitted < iterations and self.admit(sigma, budget, delta, q, releases, epoch, admitted):
+        while admitted < iterations:
+            number = None if iteration is None else iteration + admitted
+            if not self._record(self._price(sigma, q, epoch, number), releases, budget, delta):
+                break
             admitted += 1
         return admitted
 
@@ -526,16 +544,16 @@ def _ledger_calls(draw):
     iterations, releases, share): ``share`` places the budget between the
     spend before the call (0) and the spend after all of it (1), so that
     calls are refused, admitted in part or admitted whole.  ``admit`` takes
-    one iteration, ``charge`` one release without a budget."""
+    0 to 300 iterations of 1 to 4 releases (in rf, that many epochs at one
+    sigma), ``charge`` one release without a budget."""
     mode = draw(st.sampled_from(["rf", "rs"]))
-    methods = ["admit", "charge"] + (["admit_iterations"] if mode == "rs" else [])
     calls = []
     for _ in range(draw(st.integers(1, 8))):
-        method = draw(st.sampled_from(methods))
+        method = draw(st.sampled_from(["admit", "charge"]))
         sigma = draw(st.floats(1.0 if mode == "rf" else accounting.RS_SIGMA_MIN, 20.0))
         q = draw(st.floats(0.05, 1.0)) / (16.0 * sigma) if mode == "rs" else None
-        iterations = draw(st.integers(0, 300)) if method == "admit_iterations" else 1
-        releases = draw(st.integers(1, 4)) if method != "charge" else 1
+        iterations = draw(st.integers(0, 300)) if method == "admit" else 1
+        releases = draw(st.integers(1, 4)) if method == "admit" else 1
         share = draw(st.one_of(st.floats(0.0, 1.0), st.floats(1.0, 1.5)))
         calls.append((method, sigma, q, iterations, releases, share))
     return mode, calls
@@ -549,6 +567,10 @@ def _budget(oracle, sigma, q, iterations, releases, share):
         return oracle.rho_sum + share * n * accounting.gaussian_rho(sigma)
     u_alpha = min(oracle.u_alpha_min, accounting.rs_order_cap(q, sigma))
     return accounting.rs_eps(oracle.rho_hat + share * n * q * q / (sigma * sigma), u_alpha, DELTA)
+
+
+def _as_steps(ledger):
+    return [Step(s.epoch, s.iteration, s.q, s.sigma, s.cost) for s in ledger.steps]
 
 
 class TestRecordPerAdmission:
@@ -565,14 +587,12 @@ class TestRecordPerAdmission:
                 else:
                     ledger.charge_rs_iteration(q, sigma, epoch=epoch, iteration=epoch)
                 oracle.charge(sigma, q, epoch, epoch)
-            elif method == "admit":
-                got = ledger.admit(sigma, budget, DELTA, q=q, releases=releases, epoch=epoch, iteration=epoch)
-                assert got == oracle.admit(sigma, budget, DELTA, q, releases, epoch, epoch)
             else:
-                got = ledger.admit_iterations(sigma, budget, DELTA, q, iterations, releases=releases, epoch=epoch)
-                assert got == oracle.admit_iterations(sigma, budget, DELTA, q, iterations, releases, epoch)
+                got = ledger.admit(sigma, budget, DELTA, q, releases, epoch, epoch, iterations)
+                assert got == oracle.admit(sigma, budget, DELTA, q, releases, epoch, epoch, iterations)
             assert len(ledger.records) <= epoch + 1
-        assert list(ledger.steps) == oracle.steps
+        assert _as_steps(ledger) == oracle.steps
+        assert all(s.iterations == s.releases == 1 for s in ledger.steps)
         assert len(ledger.steps) == len(oracle.steps)
         assert (ledger.rho_sum, ledger.rho_hat, ledger.u_alpha_min) == (oracle.rho_sum, oracle.rho_hat, oracle.u_alpha_min)
         assert ledger.to_dp(DELTA) == oracle.to_dp(DELTA)
@@ -583,7 +603,7 @@ class TestRecordPerAdmission:
     def test_one_record_per_admission_and_flat_memory(self):
         ledger = PrivacyLedger("rs")
         for epoch in range(300):
-            assert ledger.admit_iterations(4.0, math.inf, DELTA, 0.01, 100, releases=4, epoch=epoch) == 100
+            assert ledger.admit(4.0, math.inf, DELTA, 0.01, 4, epoch, 0, iterations=100) == 100
         assert len(ledger.records) == 300
         assert ledger.records[-1] == accounting.LedgerRecord(299, 0, 100, 4, 0.01, 4.0, 0.01 ** 2 / 16.0)
 
@@ -598,14 +618,14 @@ class TestRecordPerAdmission:
         def read_view():
             assert len(ledger.steps) == 120_000
             assert ledger.steps == ledger.replay().steps
-            assert ledger.steps[-1] == accounting.LedgerStep(299, 99, 0.01, 4.0, 0.01 ** 2 / 16.0)
+            assert ledger.steps[-1] == accounting.LedgerRecord(299, 99, 1, 1, 0.01, 4.0, 0.01 ** 2 / 16.0)
 
         assert peak_mib(read_view) < 1.0
         assert peak_mib(lambda: list(ledger.steps)) > 2.0  # the per-release list the view does not build
 
     def test_steps_view_reads_like_the_per_release_list(self):
         ledger = PrivacyLedger("rs").charge_rs_iteration(0.01, 6.0)
-        ledger.admit_iterations(6.0, 1.0, DELTA, 0.01, 3, releases=2, epoch=1)
+        ledger.admit(6.0, 1.0, DELTA, 0.01, releases=2, epoch=1, iteration=0, iterations=3)
         steps = list(ledger.steps)
         assert len(steps) == len(ledger.steps) == 7
         assert [ledger.steps[i] for i in range(-7, 7)] == steps + steps

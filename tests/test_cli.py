@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -242,6 +243,27 @@ def test_train_with_underflowing_sigma_exits_2(tmp_path, capsys):
     assert run(["train", "--config", str(path), "--out", str(out)]) == 2
     assert "underflow" in capsys.readouterr().err
     assert not os.path.exists(str(out) + ".json")
+
+
+@pytest.mark.parametrize("schedule,train", [
+    ({"sigma0": 4.0}, {"lr": 1e300}),  # 32 epochs fit rho_total; the step overflows in the second
+    ({"sigma0": 1e200}, {}),  # costs no rho, so it would run to max_epochs
+])
+def test_train_refuses_a_non_finite_model(tmp_path, capsys, schedule, train):
+    cfg = {
+        "data": {"kind": "synth", "n": 40, "d": 2},
+        "schedule": {"kind": "uniform", **schedule},
+        "train": {"clip_norm": 1.0, "max_epochs": 100, "seed": 1, "rho_total": 1.0, **train},
+    }
+    path, out, ckpt = tmp_path / "config.json", tmp_path / "run", tmp_path / "m.ckpt"
+    path.write_text(json.dumps(cfg))
+    with np.errstate(all="ignore"):
+        assert run(["train", "--config", str(path), "--out", str(out), "--checkpoint", str(ckpt)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error: ")] == [
+        "error: epoch 1 left non-finite model parameters; no model is published"
+    ]
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
 class TestTrainCommand:
@@ -625,6 +647,20 @@ class TestTuneCommand:
         assert max(record["portion_sizes"]) - min(record["portion_sizes"]) <= 1
         assert record["selection_rho"] == 0.5
         assert record["manifest"]["seed"] == 7
+
+    def test_non_finite_candidate_model_exits_2(self, tmp_path, capsys):
+        manifest = {
+            "data": {"kind": "synth", "n": 40, "d": 2},
+            "eps": 1.0,
+            "candidates": [{"kind": "uniform", "sigma0": 8.0}, {"kind": "uniform", "sigma0": 4.0}],
+            "train": {"clip_norm": 1.0, "max_epochs": 3, "rho_total": 1.0, "lr": 1e300},
+        }
+        mpath = tmp_path / "tune.json"
+        mpath.write_text(json.dumps(manifest))
+        with np.errstate(all="ignore"):
+            assert run(["tune", "--manifest", str(mpath), "--out", str(tmp_path / "sel.json")]) == 2
+        assert "left non-finite model parameters" in capsys.readouterr().err
+        assert not (tmp_path / "sel.json").exists()
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_non_finite_eps_exits_2(self, tmp_path, eps):

@@ -447,6 +447,52 @@ class TestTrainRs:
             train(config, ds, nn.MlpModel.init([2, 8, 2], seed=9))
 
 
+class TestOneRecordPerEpoch:
+    """Each epoch is one admission, so it writes one ledger record: rf epochs
+    whole, rs epochs from iteration 0, the exhausted one in part."""
+
+    @pytest.mark.parametrize("per_layer_clip", [False, True])
+    def test_rf(self, per_layer_clip):
+        config = TrainConfig(
+            schedule=schedules.exp_decay(8.0, 0.1), clip_norm=1.0, max_epochs=50, seed=3,
+            rho_total=0.2, batch_size=40, per_layer_clip=per_layer_clip,
+        )
+        report = train(config, small_blobs(), nn.MlpModel.init([2, 8, 2], seed=3))
+        assert report.stop_reason == "budget_exhausted"
+        releases = 2 if per_layer_clip else 1
+        assert [(r.epoch, r.iterations, r.releases) for r in report.ledger.records] == [
+            (epoch, 1, releases) for epoch in range(report.epochs_run)
+        ]
+
+    @pytest.mark.parametrize("per_layer_clip", [False, True])
+    def test_rs_epochs_start_at_iteration_0_and_the_last_is_partial(self, per_layer_clip):
+        config = TrainConfig(
+            schedule=schedules.uniform(6.0), clip_norm=1.0, max_epochs=50, seed=8, batching="rs",
+            q=0.01, iters_per_epoch=100, eps_total=0.5, per_layer_clip=per_layer_clip,
+        )
+        report = train(config, small_blobs(), nn.MlpModel.init([2, 8, 2], seed=8))
+        assert report.stop_reason == "budget_exhausted"
+        records = report.ledger.records
+        assert [r.epoch for r in records] == list(range(report.epochs_run + 1))
+        assert all(r.iteration == 0 and r.releases == (2 if per_layer_clip else 1) for r in records)
+        assert [r.iterations for r in records[:-1]] == [100] * report.epochs_run
+        assert 0 < records[-1].iterations < 100
+
+
+class TestNonFiniteModelRefused:
+    # rf's first step leaves finite parameters near 1e300, its second overflows;
+    # rs takes ten steps in epoch 0
+    @pytest.mark.parametrize("batching,epoch", [("rf", 1), ("rs", 0)])
+    def test_overflowing_step_raises(self, batching, epoch):
+        budget = {"rho_total": 1.0} if batching == "rf" else {"q": 0.01, "iters_per_epoch": 10, "eps_total": 1.0}
+        config = TrainConfig(
+            schedule=schedules.uniform(4.0), clip_norm=1.0, max_epochs=100, seed=1, batching=batching,
+            lr=1e300, **budget,
+        )
+        with np.errstate(all="ignore"), pytest.raises(DomainError, match=f"epoch {epoch} left non-finite"):
+            train(config, data.synth_blobs(40, 2, 2, seed=0), nn.MlpModel.init([2, 8, 2], seed=1))
+
+
 def flat_params(model):
     return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in zip(model.weights, model.biases)])
 
