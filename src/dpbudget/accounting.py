@@ -206,13 +206,15 @@ class PrivacyLedger:
     accumulates ``rho_hat`` per iteration together with the smallest usable
     order cap seen so far.  Each admission or charge is priced once and kept
     as one :class:`LedgerRecord` in ``records``, so an rs epoch of 100
-    iterations of 4 releases is one record, not 400.  ``steps`` is a
-    read-only view of the records with one single-release record per
-    release.  Every entry point, :meth:`replay` included, charges through one
-    helper, so :meth:`replay` reproduces the records and totals bit for bit.
+    iterations of 4 releases is one record, not 400; the records are how a
+    ledger is read.  Every entry point, :meth:`replay` included, charges
+    through one helper, so :meth:`replay` reproduces the records and totals
+    bit for bit.
 
-    A ledger can also be built from given records, ``steps``, with its
-    totals given as they are; :meth:`replay` then recomputes them.
+    ``steps`` is a read-only per-release view of the records, and a ledger
+    can be built from given records, ``steps``, with its rf total
+    ``rho_sum`` given as it is, which :meth:`replay` then recomputes; both
+    serve the benchmark's output checks.
     """
 
     mode: str
@@ -225,13 +227,11 @@ class PrivacyLedger:
         self,
         mode: str,
         rho_sum: float = 0.0,
-        rho_hat: float = 0.0,
-        u_alpha_min: float = math.inf,
         steps: Iterable[LedgerRecord] = (),
     ) -> None:
         if mode not in ("rf", "rs"):
             raise UsageError(f"ledger mode must be 'rf' or 'rs', got {mode!r}")
-        self.mode, self.rho_sum, self.rho_hat, self.u_alpha_min = mode, rho_sum, rho_hat, u_alpha_min
+        self.mode, self.rho_sum, self.rho_hat, self.u_alpha_min = mode, rho_sum, 0.0, math.inf
         self.records = list(steps)
 
     @property
@@ -341,8 +341,8 @@ class PrivacyLedger:
 
     def to_dp(self, delta: float) -> EpsDelta:
         """Convert the cumulative cost to an (eps, delta) guarantee; eps is 0 if empty."""
-        if self.mode == "rf" or not self.records:
-            return zcdp_to_dp(self.total_rho, delta)
+        if self.mode == "rf":
+            return zcdp_to_dp(self.rho_sum, delta)
         return EpsDelta(rs_eps(self.rho_hat, self.u_alpha_min, delta), delta)
 
     def replay(self) -> "PrivacyLedger":
@@ -354,17 +354,11 @@ class PrivacyLedger:
         return fresh
 
 
-def _release(record: LedgerRecord, k: int) -> LedgerRecord:
-    """The single-release record of each release of ``record``'s ``k``-th iteration."""
-    iteration = None if record.iteration is None else record.iteration + k
-    return LedgerRecord(record.epoch, iteration, 1, 1, record.q, record.sigma, record.cost)
-
-
 class ReleaseView:
     """A read-only view of a ledger's records as one single-release
-    :class:`LedgerRecord` per release, in charge order.  The elements are
-    built as they are read, so ``len``, iteration, indexing and ``==`` hold
-    no per-release list; a slice is a list."""
+    :class:`LedgerRecord` per release, in charge order.  ``len``, iteration
+    and ``==`` between two views hold no per-release list; indexing builds
+    it, and a slice is a list."""
 
     __slots__ = ("_records",)
 
@@ -377,27 +371,15 @@ class ReleaseView:
     def __iter__(self) -> Iterator[LedgerRecord]:
         for r in self._records:
             for k in range(r.iterations):
-                yield from repeat(_release(r, k), r.releases)
+                iteration = None if r.iteration is None else r.iteration + k
+                yield from repeat(LedgerRecord(r.epoch, iteration, 1, 1, r.q, r.sigma, r.cost), r.releases)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        size = len(self)
-        if not -size <= index < size:
-            raise IndexError("ledger step index out of range")
-        index %= size
-        for r in self._records:
-            if index < r.iterations * r.releases:
-                return _release(r, index // r.releases)
-            index -= r.iterations * r.releases
+        return list(self)[index]
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, ReleaseView):
-            if self._records == other._records:
-                return True
-        elif not isinstance(other, (list, tuple)):
+        if not isinstance(other, ReleaseView):
             return NotImplemented
+        if self._records == other._records:
+            return True
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    def __repr__(self) -> str:
-        return f"ReleaseView({list(self)!r})"

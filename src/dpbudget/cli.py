@@ -181,8 +181,8 @@ class SynthData:
 @dataclass(frozen=True)
 class SplitConfig:
     """``split`` section: ``n_train`` examples for training and the rest for
-    testing; ``n_validation`` of the training examples are held out for
-    validation."""
+    testing; ``n_validation`` of the training examples, fewer than
+    ``n_train``, are held out for validation."""
 
     n_train: int
     seed: int = 0
@@ -190,6 +190,10 @@ class SplitConfig:
 
     def __post_init__(self) -> None:
         check_config_fields(self, "split")
+        if self.n_validation and self.n_validation >= self.n_train:
+            raise ConfigError(
+                f"split.n_validation must be below split.n_train, got {self.n_validation} of {self.n_train}"
+            )
 
 
 @dataclass(frozen=True)
@@ -250,6 +254,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     config = config_from_json(dpsgd.TrainConfig, "train", cfg.train, schedule=schedule)
     data_config = _read_data(cfg.data)
     split = None if cfg.split is None else config_from_json(SplitConfig, "split", cfg.split)
+    if schedule.kind == "validation" and (split is None or not split.n_validation):
+        raise ConfigError("the validation schedule requires split.n_validation held-out examples")
     model_config = config_from_json(ModelConfig, "model", cfg.model)
     _check_writable(
         args.out + ".csv", args.out + ".json", *([args.checkpoint] if args.checkpoint else []),
@@ -268,10 +274,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     model = model_config.build(train_set, config.seed)
 
     report = dpsgd.train(config, train_set, model, test_data=test_set, validation_data=validation)
+    # accuracies of the published model: an rs run can stop mid-epoch, after its last record
+    with dpsgd.quiet_overflow():
+        train_acc = nn.accuracy(model, train_set.features, train_set.labels)
+        test_acc = None if test_set is None else nn.accuracy(model, test_set.features, test_set.labels)
 
     manifest = _manifest(args, config.seed)
     _write_csv(args.out + ".csv", dpsgd.EpochRecord._fields, report.records, manifest)
-    # accuracies of the published model: an rs run can stop mid-epoch, after its last record
     summary = {
         "manifest": manifest,
         "epochs_run": report.epochs_run,
@@ -279,8 +288,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         "total_rho": report.total_rho,
         "final_eps": report.final_privacy.eps,
         "final_delta": report.final_privacy.delta,
-        "final_train_acc": nn.accuracy(model, train_set.features, train_set.labels),
-        "final_test_acc": None if test_set is None else nn.accuracy(model, test_set.features, test_set.labels),
+        "final_train_acc": train_acc,
+        "final_test_acc": test_acc,
     }
     _write_text(args.out + ".json", json.dumps(summary, indent=2), "utf-8")
     if args.checkpoint:
@@ -341,24 +350,30 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = config_from_json(TuneManifest, args.manifest, json.load(fh))
     data_config = _read_data(manifest.data)
+    model_config = config_from_json(ModelConfig, "model", manifest.model)
+    eps, seed = float(manifest.eps), manifest.seed
+    rho = selection.selection_rho(eps)
+    # every candidate's config, checked before any data is read
+    configs = []
+    for index, spec in enumerate(manifest.candidates):
+        schedule = schedules.NoiseSchedule.from_dict(spec)
+        if schedule.kind == "validation":
+            raise ConfigError(f"candidates[{index}] is a validation schedule, and a candidate's portion has no validation split")
+        configs.append(config_from_json(dpsgd.TrainConfig, "train", manifest.train, seed=seed + 1 + index, schedule=schedule))
     _check_writable(args.out, inputs=(args.manifest, *data_config.inputs))
     dataset = data_config.load()
-    model_config = config_from_json(ModelConfig, "model", manifest.model)
-    candidates = [schedules.NoiseSchedule.from_dict(d) for d in manifest.candidates]
-    eps, seed = float(manifest.eps), manifest.seed
-    rho = selection.selection_rho(eps)  # rejects a bad eps before any training
 
     def train_candidate(index: int, portion: data.Dataset):
-        config = config_from_json(dpsgd.TrainConfig, "train", manifest.train, seed=seed + 1 + index, schedule=candidates[index])
-        model = model_config.build(portion, config.seed)
-        dpsgd.train(config, portion, model)
+        model = model_config.build(portion, configs[index].seed)
+        dpsgd.train(configs[index], portion, model)
         return lambda features: nn.predict(model, features)
 
-    result = selection.partition_tune(dataset, len(candidates), train_candidate, eps, seed)
+    with dpsgd.quiet_overflow():
+        result = selection.partition_tune(dataset, len(configs), train_candidate, eps, seed)
     payload = {
         "manifest": _manifest(args, seed),
         "selected": result.selected,
-        "selected_schedule": candidates[result.selected].to_dict(),
+        "selected_schedule": configs[result.selected].schedule.to_dict(),
         "portion_sizes": result.portion_sizes,
         "selection_rho": rho,
     }

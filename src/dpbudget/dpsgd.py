@@ -11,7 +11,9 @@ of the clipped, noised sums and of the updates.  Each epoch is admitted by
 one :meth:`PrivacyLedger.admit` call: one unit under reshuffling, the
 epoch's iterations under sampling, priced in one pass over their running
 totals.  A step that leaves a parameter non-finite is refused, so no NaN or
-infinite model is published.
+infinite model is published; the epoch loop runs under
+:func:`quiet_overflow`, so that refusal is the run's one report of the
+overflow.
 
 Randomness is a single seeded numpy PCG64 generator consumed in a fixed
 order, so a (config, seed) pair reproduces its report bit for bit: each
@@ -43,6 +45,14 @@ def _clip_factors(sq_norms: np.ndarray, clip_norm: float) -> np.ndarray:
     np.sqrt(sq_norms, out=sq_norms)
     np.maximum(sq_norms, clip_norm, out=sq_norms)
     return np.divide(clip_norm, sq_norms, out=sq_norms)
+
+
+def quiet_overflow() -> np.errstate:
+    """numpy's error state for a training run and the evaluations of its
+    model: overflows and invalid values raise no warnings, because a step
+    that leaves the model non-finite is refused, and that refusal is the
+    run's one report of them."""
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _check_noise(clip_norm: float, sigma: float) -> None:
@@ -293,26 +303,27 @@ def train(
             )
         )
 
-    for epoch in range(config.max_epochs):
-        if controller is not None:
-            sigma = controller.sigma
-        else:
-            sigma = sigma_at(config.schedule, epoch)
+    with quiet_overflow():
+        for epoch in range(config.max_epochs):
+            if controller is not None:
+                sigma = controller.sigma
+            else:
+                sigma = sigma_at(config.schedule, epoch)
 
-        admitted = ledger.admit(sigma, budget, config.delta, config.q, releases, epoch, iteration=0, iterations=asked)
-        if admitted:
-            batches = rf_batches(n, batch_size, rng) if config.batching == "rf" else rs_batches(n, config.q, admitted, rng)
-            step(batches, sigma, config.lr, lot_size, rng)
-            if not np.isfinite(model.params).all():
-                raise DomainError(f"epoch {epoch} left non-finite model parameters; no model is published")
-        if admitted < asked:
-            stop_reason = "budget_exhausted"
-            break
+            admitted = ledger.admit(sigma, budget, config.delta, config.q, releases, epoch, iteration=0, iterations=asked)
+            if admitted:
+                batches = rf_batches(n, batch_size, rng) if config.batching == "rf" else rs_batches(n, config.q, admitted, rng)
+                step(batches, sigma, config.lr, lot_size, rng)
+                if not np.isfinite(model.params).all():
+                    raise DomainError(f"epoch {epoch} left non-finite model parameters; no model is published")
+            if admitted < asked:
+                stop_reason = "budget_exhausted"
+                break
 
-        snapshot(epoch, sigma)
-        if controller is not None:
-            val_acc = records[-1].val_acc
-            controller.observe(val_acc)
+            snapshot(epoch, sigma)
+            if controller is not None:
+                val_acc = records[-1].val_acc
+                controller.observe(val_acc)
 
     return TrainReport(
         epochs_run=len(records),

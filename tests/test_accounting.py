@@ -36,7 +36,7 @@ class TestGaussianRho:
         ledger = PrivacyLedger("rf")
         with pytest.raises(DomainError, match="underflow"):
             ledger.admit(sigma, 1.0)
-        assert ledger.steps == []
+        assert ledger.records == []
 
     def test_smallest_sigma_with_a_square_costs_inf(self):
         assert accounting.gaussian_rho(1e-160) == math.inf
@@ -189,7 +189,7 @@ class TestRfLedger:
             last = ledger.rho_sum
         replayed = ledger.replay()
         assert replayed.rho_sum == ledger.rho_sum
-        assert replayed.steps == ledger.steps
+        assert replayed.records == ledger.records
 
 
 class TestRsLedger:
@@ -243,7 +243,7 @@ class TestRsLedger:
         replayed = ledger.replay()
         assert replayed.rho_hat == ledger.rho_hat
         assert replayed.u_alpha_min == ledger.u_alpha_min
-        assert replayed.steps == ledger.steps
+        assert replayed.records == ledger.records
 
 
 class TestRsSigmaFloor:
@@ -304,22 +304,22 @@ class TestAdmit:
         ledger = PrivacyLedger(mode)
         assert ledger.admit(6.0, 1.0, 1e-5, q=q, epoch=0)
         spent = ledger.total_rho if mode == "rf" else ledger.to_dp(1e-5).eps
-        before = (ledger.rho_sum, ledger.rho_hat, ledger.u_alpha_min, list(ledger.steps))
+        before = (ledger.rho_sum, ledger.rho_hat, ledger.u_alpha_min, list(ledger.records))
         # a smaller sigma would also lower the rs order cap if it were charged
         assert not ledger.admit(5.0, spent, 1e-5, q=q, epoch=1)
-        assert (ledger.rho_sum, ledger.rho_hat, ledger.u_alpha_min, ledger.steps) == before
+        assert (ledger.rho_sum, ledger.rho_hat, ledger.u_alpha_min, ledger.records) == before
 
     def test_all_releases_must_fit(self):
         ledger = PrivacyLedger("rf")
         budget = 2.5 * accounting.gaussian_rho(6.0)
         assert not ledger.admit(6.0, budget, 1e-5, releases=3)
         assert ledger.admit(6.0, budget, 1e-5, releases=2, epoch=0)
-        assert ledger.steps == [accounting.LedgerRecord(0, None, 1, 1, None, 6.0, accounting.gaussian_rho(6.0))] * 2
+        assert ledger.records == [accounting.LedgerRecord(0, None, 1, 2, None, 6.0, accounting.gaussian_rho(6.0))]
 
-    def test_rs_releases_are_separate_steps(self):
+    def test_rs_releases_are_one_record(self):
         ledger = PrivacyLedger("rs")
         assert ledger.admit(6.0, 1.0, 1e-5, q=0.01, releases=3, epoch=0, iteration=4)
-        assert ledger.steps == [accounting.LedgerRecord(0, 4, 1, 1, 0.01, 6.0, 0.01 ** 2 / 36.0)] * 3
+        assert ledger.records == [accounting.LedgerRecord(0, 4, 1, 3, 0.01, 6.0, 0.01 ** 2 / 36.0)]
         assert ledger.u_alpha_min == accounting.rs_order_cap(0.01, 6.0)
         assert ledger.replay().rho_hat == ledger.rho_hat
 
@@ -376,8 +376,17 @@ def _admission_runs(draw):
     return mode, run, budget
 
 
+def _releases(ledger):
+    """The ledger's records expanded to one single-release record per
+    release, in charge order: the per-release ledger they stand for."""
+    return [
+        accounting.LedgerRecord(r.epoch, None if r.iteration is None else r.iteration + k, 1, 1, r.q, r.sigma, r.cost)
+        for r in ledger.records for k in range(r.iterations) for _ in range(r.releases)
+    ]
+
+
 def _state(ledger):
-    return ledger.rho_sum, ledger.rho_hat, ledger.u_alpha_min, list(ledger.steps)
+    return ledger.rho_sum, ledger.rho_hat, ledger.u_alpha_min, _releases(ledger)
 
 
 class TestLedgerInvariants:
@@ -391,7 +400,8 @@ class TestLedgerInvariants:
         for epoch, (sigma, q, releases) in enumerate(run):
             before = _state(ledger)
             if ledger.admit(sigma, budget, DELTA, q=q, releases=releases, epoch=epoch):
-                assert len(ledger.steps) == len(before[3]) + releases
+                assert ledger.records[-1].releases == releases
+                assert len(_releases(ledger)) == len(before[3]) + releases
                 if mode == "rf":
                     assert ledger.rho_sum <= budget + BUDGET_TOL
                 else:
@@ -450,7 +460,8 @@ class TestAdmitIterations:
         ledger = PrivacyLedger("rs")
         assert ledger.admit(6.0, 1.0, 1e-5, 0.01, releases=2, epoch=5, iteration=0, iterations=3) == 3
         cost = 0.01 ** 2 / 36.0
-        assert ledger.steps == [accounting.LedgerRecord(5, it, 1, 1, 0.01, 6.0, cost) for it in range(3) for _ in range(2)]
+        assert ledger.records == [accounting.LedgerRecord(5, 0, 3, 2, 0.01, 6.0, cost)]
+        assert _releases(ledger) == [accounting.LedgerRecord(5, it, 1, 1, 0.01, 6.0, cost) for it in range(3) for _ in range(2)]
 
     def test_zero_iterations_change_nothing(self):
         for mode, q in (("rf", None), ("rs", 0.01)):
@@ -491,7 +502,7 @@ class PerReleaseLedger:
     oracle for the record-per-admission ledger."""
 
     def __init__(self, mode):
-        self.mode, self.rho_sum, self.rho_hat, self.u_alpha_min, self.steps = mode, 0.0, 0.0, math.inf, []
+        self.mode, self.rho_sum, self.rho_hat, self.u_alpha_min, self.released = mode, 0.0, 0.0, math.inf, []
 
     def _price(self, sigma, q, epoch, iteration):
         if self.mode == "rf":
@@ -512,7 +523,7 @@ class PerReleaseLedger:
             if budget is not None and accounting.rs_refuses(total, u_alpha, budget, delta):
                 return False
             self.rho_hat, self.u_alpha_min = total, u_alpha
-        self.steps += [step] * releases
+        self.released += [step] * releases
         return True
 
     def charge(self, sigma, q=None, epoch=None, iteration=None):
@@ -533,7 +544,7 @@ class PerReleaseLedger:
         return self.rho_sum if self.mode == "rf" else self.rho_hat
 
     def to_dp(self, delta):
-        if self.mode == "rf" or not self.steps:
+        if self.mode == "rf" or not self.released:
             return accounting.zcdp_to_dp(self.total_rho, delta)
         return EpsDelta(accounting.rs_eps(self.rho_hat, self.u_alpha_min, delta), delta)
 
@@ -570,7 +581,7 @@ def _budget(oracle, sigma, q, iterations, releases, share):
 
 
 def _as_steps(ledger):
-    return [Step(s.epoch, s.iteration, s.q, s.sigma, s.cost) for s in ledger.steps]
+    return [Step(s.epoch, s.iteration, s.q, s.sigma, s.cost) for s in _releases(ledger)]
 
 
 class TestRecordPerAdmission:
@@ -591,9 +602,7 @@ class TestRecordPerAdmission:
                 got = ledger.admit(sigma, budget, DELTA, q, releases, epoch, epoch, iterations)
                 assert got == oracle.admit(sigma, budget, DELTA, q, releases, epoch, epoch, iterations)
             assert len(ledger.records) <= epoch + 1
-        assert _as_steps(ledger) == oracle.steps
-        assert all(s.iterations == s.releases == 1 for s in ledger.steps)
-        assert len(ledger.steps) == len(oracle.steps)
+        assert _as_steps(ledger) == oracle.released
         assert (ledger.rho_sum, ledger.rho_hat, ledger.u_alpha_min) == (oracle.rho_sum, oracle.rho_hat, oracle.u_alpha_min)
         assert ledger.to_dp(DELTA) == oracle.to_dp(DELTA)
         replayed = ledger.replay()
@@ -618,24 +627,17 @@ class TestRecordPerAdmission:
         def read_view():
             assert len(ledger.steps) == 120_000
             assert ledger.steps == ledger.replay().steps
-            assert ledger.steps[-1] == accounting.LedgerRecord(299, 99, 1, 1, 0.01, 4.0, 0.01 ** 2 / 16.0)
 
         assert peak_mib(read_view) < 1.0
         assert peak_mib(lambda: list(ledger.steps)) > 2.0  # the per-release list the view does not build
 
-    def test_steps_view_reads_like_the_per_release_list(self):
+    def test_steps_view_is_the_records_release_by_release(self):
         ledger = PrivacyLedger("rs").charge_rs_iteration(0.01, 6.0)
         ledger.admit(6.0, 1.0, DELTA, 0.01, releases=2, epoch=1, iteration=0, iterations=3)
         steps = list(ledger.steps)
-        assert len(steps) == len(ledger.steps) == 7
-        assert [ledger.steps[i] for i in range(-7, 7)] == steps + steps
-        assert ledger.steps[2:5] == steps[2:5] and ledger.steps[::-1] == steps[::-1]
-        assert ledger.steps == steps and ledger.steps == tuple(steps) and ledger.steps != steps[:-1]
-        assert ledger.steps == PrivacyLedger("rs", steps=steps).steps
-        assert ledger.steps != "not steps"
-        for index in (7, -8):
-            with pytest.raises(IndexError):
-                ledger.steps[index]
+        assert steps == _releases(ledger) and len(ledger.steps) == 7
+        assert ledger.steps[2:5] == steps[2:5] and ledger.steps[-1] == steps[-1]
+        assert ledger.steps == PrivacyLedger("rs", steps=steps).steps != PrivacyLedger("rs", steps=steps[:-1]).steps
         with pytest.raises(AttributeError):
             ledger.steps = []
 
@@ -649,7 +651,7 @@ class TestRecordPerAdmission:
         assert rebuilt.replay().rho_sum == ledger.rho_sum
         broken = PrivacyLedger("rf", rho_sum=ledger.rho_sum, steps=ledger.steps[:-1])
         assert broken.replay().rho_sum != broken.rho_sum
-        assert broken.replay().steps == ledger.steps[:-1] != ledger.steps
+        assert broken.replay().steps == broken.steps != ledger.steps
 
 
 @st.composite

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -257,7 +258,9 @@ def test_train_refuses_a_non_finite_model(tmp_path, capsys, schedule, train):
     }
     path, out, ckpt = tmp_path / "config.json", tmp_path / "run", tmp_path / "m.ckpt"
     path.write_text(json.dumps(cfg))
-    with np.errstate(all="ignore"):
+    # the refusal is the run's one report: numpy warns of no overflow on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert run(["train", "--config", str(path), "--out", str(out), "--checkpoint", str(ckpt)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("error: ")] == [
@@ -488,6 +491,50 @@ TUNE_MANIFEST = {
     "candidates": [{"kind": "uniform", "sigma0": 8.0}, {"kind": "uniform", "sigma0": 4.0}],
     "train": {"clip_norm": 1.0, "max_epochs": 1, "rho_total": 1.0},
 }
+VALIDATION_SCHEDULE = {"kind": "validation", "sigma0": 20.0, "k": 0.5, "period": 2, "delta_thresh": 1.0, "m": 1}
+
+
+class TestRefusedBeforeData:
+    """Config faults that ``train`` and ``tune`` refuse before they read any
+    data: the data file named is missing and training never starts, so the
+    config's own message is the one report."""
+
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("trained before the config was checked")
+
+        monkeypatch.setattr(cli.dpsgd, "train", never)
+
+    def refused(self, tmp_path, capsys, command, document):
+        document = {**document, "data": {"kind": "cancer", "path": str(tmp_path / "missing.data")}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document))
+        option = "--config" if command == "train" else "--manifest"
+        assert run([command, option, str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and sorted(os.listdir(tmp_path)) == ["config.json"]
+        return err
+
+    @pytest.mark.parametrize("override,message", [
+        ({"schedule": VALIDATION_SCHEDULE}, "the validation schedule requires split.n_validation"),
+        ({"schedule": VALIDATION_SCHEDULE, "split": None}, "the validation schedule requires split.n_validation"),
+        ({"split": {"n_train": 30, "n_validation": 30}}, "split.n_validation must be below split.n_train, got 30 of 30"),
+        ({"split": {"n_train": 30, "n_validation": 45}}, "split.n_validation must be below split.n_train, got 45 of 30"),
+    ])
+    def test_train(self, tmp_path, capsys, override, message):
+        assert message in self.refused(tmp_path, capsys, "train", {**TRAIN_CONFIG, **override})
+
+    @pytest.mark.parametrize("override,message", [
+        ({"candidates": [{"kind": "uniform", "sigma0": 8.0}, VALIDATION_SCHEDULE]},
+         "candidates[1] is a validation schedule, and a candidate's portion has no validation split"),
+        ({"candidates": [{"kind": "uniform", "sigma0": 8.0}, {"kind": "exp", "sigma0": 8.0}]}, "exp decay requires 0 < k"),
+        ({"model": {"hidden": [0]}}, "model.hidden must be a list of positive integers"),
+        ({"train": {"clip_norm": 0.0, "max_epochs": 1, "rho_total": 1.0}}, "clip_norm must be positive"),
+        ({"train": {"clip_norm": 1.0, "max_epochs": 1, "rho_total": 1.0, "q": 0.01}}, "rf training does not read ['q']"),
+    ])
+    def test_tune(self, tmp_path, capsys, override, message):
+        assert message in self.refused(tmp_path, capsys, "tune", {**TUNE_MANIFEST, **override})
 
 
 @pytest.mark.parametrize(
@@ -657,10 +704,19 @@ class TestTuneCommand:
         }
         mpath = tmp_path / "tune.json"
         mpath.write_text(json.dumps(manifest))
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             assert run(["tune", "--manifest", str(mpath), "--out", str(tmp_path / "sel.json")]) == 2
         assert "left non-finite model parameters" in capsys.readouterr().err
         assert not (tmp_path / "sel.json").exists()
+
+    def test_candidate_i_trains_at_seed_plus_1_plus_i(self, tmp_path, monkeypatch):
+        trained, real_train = [], cli.dpsgd.train
+        monkeypatch.setattr(cli.dpsgd, "train", lambda config, *rest: trained.append(config) or real_train(config, *rest))
+        path = tmp_path / "tune.json"
+        path.write_text(json.dumps({**TUNE_MANIFEST, "candidates": [{"kind": "uniform", "sigma0": 8.0}] * 3}))
+        assert run(["tune", "--manifest", str(path), "--out", str(tmp_path / "sel.json")]) == 0
+        assert [config.seed for config in trained] == [8, 9, 10]
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf])
     def test_non_finite_eps_exits_2(self, tmp_path, eps):

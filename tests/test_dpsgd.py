@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
 from dpbudget import data, dpsgd, nn, schedules
-from dpbudget.accounting import BUDGET_TOL
+from dpbudget.accounting import BUDGET_TOL, LedgerRecord
 from dpbudget.dpsgd import TrainConfig, _clip_factors, noisy_mean_gradient, train
 from dpbudget.errors import ConfigError, DomainError, PreconditionError
 
@@ -400,7 +401,8 @@ class TestTrainRs:
         )
         report = train(config, ds, nn.MlpModel.init([2, 8, 8, 2], seed=10))
         assert report.epochs_run == 1
-        assert len(report.ledger.steps) == 3 * 100  # 3 layers, 100 iterations
+        # 100 iterations of 3 releases, one per layer
+        assert report.ledger.records == [LedgerRecord(0, 0, 100, 3, 0.01, 6.0, 0.01 ** 2 / 36.0)]
         assert report.total_rho == pytest.approx(3 * 100 * 0.01 ** 2 / 36.0, rel=1e-12)
 
     def test_empty_batch_releases_noise_over_expected_lot_size(self):
@@ -489,7 +491,9 @@ class TestNonFiniteModelRefused:
             schedule=schedules.uniform(4.0), clip_norm=1.0, max_epochs=100, seed=1, batching=batching,
             lr=1e300, **budget,
         )
-        with np.errstate(all="ignore"), pytest.raises(DomainError, match=f"epoch {epoch} left non-finite"):
+        # the refusal is the one report: numpy warns of no overflow on the way
+        with warnings.catch_warnings(), pytest.raises(DomainError, match=f"epoch {epoch} left non-finite"):
+            warnings.simplefilter("error", RuntimeWarning)
             train(config, data.synth_blobs(40, 2, 2, seed=0), nn.MlpModel.init([2, 8, 2], seed=1))
 
 
@@ -499,8 +503,8 @@ def flat_params(model):
 
 def assert_replay_exact(ledger):
     replayed = ledger.replay()
-    assert (replayed.rho_sum, replayed.rho_hat, replayed.u_alpha_min, replayed.steps) == (
-        ledger.rho_sum, ledger.rho_hat, ledger.u_alpha_min, ledger.steps
+    assert (replayed.rho_sum, replayed.rho_hat, replayed.u_alpha_min, replayed.records) == (
+        ledger.rho_sum, ledger.rho_hat, ledger.u_alpha_min, ledger.records
     )
 
 
@@ -528,7 +532,10 @@ class TestSpendProperties:
         )
         report = train(config, SPEND_BLOBS, nn.MlpModel.init([2, 4, 2], seed=seed))
         assert report.ledger.rho_sum <= rho_total + BUDGET_TOL
-        assert len(report.ledger.steps) == (2 if per_layer_clip else 1) * report.epochs_run
+        releases = 2 if per_layer_clip else 1
+        assert [(r.epoch, r.iterations, r.releases) for r in report.ledger.records] == [
+            (epoch, 1, releases) for epoch in range(report.epochs_run)
+        ]
         assert_replay_exact(report.ledger)
 
     @settings(max_examples=20, deadline=None)
@@ -550,8 +557,11 @@ class TestSpendProperties:
         )
         report = train(config, SPEND_BLOBS, nn.MlpModel.init([2, 4, 2], seed=seed))
         assert report.final_privacy.eps <= eps_total
-        iterations = {(step.epoch, step.iteration) for step in report.ledger.steps}
-        assert len(report.ledger.steps) == (2 if per_layer_clip else 1) * len(iterations)
+        releases = 2 if per_layer_clip else 1
+        # one record per epoch, of the epoch's admitted iterations from 0
+        assert [(r.epoch, r.iteration, r.releases) for r in report.ledger.records] == [
+            (epoch, 0, releases) for epoch in range(len(report.ledger.records))
+        ]
         assert_replay_exact(report.ledger)
 
 
@@ -596,12 +606,13 @@ class TestLedgerAgainstExactGaussianComposition:
         model = nn.MlpModel.init([2, 4, 2], seed=seed)
         report = train(config, SPEND_BLOBS, model)
         releases = len(model.weights) if per_layer_clip else 1
-        assert [step.sigma for step in report.ledger.steps] == [
+        sigmas = [r.sigma for r in report.ledger.records for _ in range(r.iterations * r.releases)]
+        assert sigmas == [
             schedules.sigma_at(schedule, epoch) for epoch in range(report.epochs_run) for _ in range(releases)
         ]
-        if not report.ledger.steps:
+        if not sigmas:
             return
-        mu = math.sqrt(sum(1.0 / (step.sigma * step.sigma) for step in report.ledger.steps))
+        mu = math.sqrt(sum(1.0 / (sigma * sigma) for sigma in sigmas))
         assert gaussian_delta(report.final_privacy.eps, mu) <= config.delta
 
 
@@ -669,15 +680,14 @@ class TestMatchesPerExampleUpdate:
         with monkeypatch.context() as patch:
             patch.setattr(dpsgd, "_TrainingStep", ReferenceStep)
             reference, reference_report = run()
-        releases = 3 if per_layer_clip else 1
         if "q" in batching:
-            assert len(batch_sizes) == len(reference_report.ledger.steps) // releases == 4 * 20
+            assert len(batch_sizes) == sum(r.iterations for r in reference_report.ledger.records) == 4 * 20
         else:
             per_epoch = math.ceil(n_examples / (batching["batch_size"] or n_examples))
             assert len(batch_sizes) == 4 * per_epoch
         assert np.linalg.norm(ghost.params - reference.params) <= 1e-10 * np.linalg.norm(reference.params)
         assert ghost_report.epochs_run == reference_report.epochs_run == 4
-        assert ghost_report.ledger.steps == reference_report.ledger.steps
+        assert ghost_report.ledger.records == reference_report.ledger.records
         assert ghost_report.total_rho == reference_report.total_rho
         assert ghost_report.final_privacy == reference_report.final_privacy
         if n_examples == 50:
