@@ -78,14 +78,11 @@ def gaussian_rho(sigma: float) -> float:
 
 
 def zcdp_to_dp(rho: float, delta: float) -> EpsDelta:
-    """Convert ``rho``-zCDP to ``(eps, delta)``-DP.
-
-    Uses ``eps = rho + 2 sqrt(rho log(1/delta))``.
-    """
+    """Convert ``rho``-zCDP to ``(eps, delta)``-DP: :func:`rs_eps` with no
+    order cap, ``eps = rho + 2 sqrt(rho log(1/delta))``."""
     if rho < 0.0 or not math.isfinite(rho):
         raise DomainError(f"rho must be a nonnegative finite real, got {rho}")
-    _check_delta(delta)
-    return EpsDelta(rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta)), delta)
+    return EpsDelta(rs_eps(rho, math.inf, delta), delta)
 
 
 def classic_gaussian_dp(sigma: float, delta: float) -> EpsDelta:
@@ -169,9 +166,11 @@ def rs_eps(rho_hat: float, u_alpha: float, delta: float) -> float:
       log(1/delta))``, which is 0 for no spend;
     * otherwise the cap binds and ``eps = rho_hat u_alpha
       - log(delta) / (u_alpha - 1)``.
+
+    With no cap (``u_alpha`` infinite) this is the zCDP conversion.
     """
-    if not rho_hat >= 0.0:  # NaN included
-        raise DomainError(f"rho_hat must be nonnegative, got {rho_hat}")
+    if not 0.0 <= rho_hat < math.inf:  # NaN included
+        raise DomainError(f"rho_hat must be a nonnegative finite real, got {rho_hat}")
     if not u_alpha > 1.0:
         raise DomainError(f"u_alpha must exceed 1, got {u_alpha}")
     _check_delta(delta)
@@ -204,12 +203,14 @@ class PrivacyLedger:
 
     In "rf" mode the ledger accumulates ``rho_sum`` per epoch; in "rs" mode it
     accumulates ``rho_hat`` per iteration together with the smallest usable
-    order cap seen so far.  Each admission or charge is priced once and kept
-    as one :class:`LedgerRecord` in ``records``, so an rs epoch of 100
-    iterations of 4 releases is one record, not 400; the records are how a
-    ledger is read.  Every entry point, :meth:`replay` included, charges
-    through one helper, so :meth:`replay` reproduces the records and totals
-    bit for bit.
+    order cap seen so far.  No rf charge lowers the cap, so an rf ledger's
+    ``u_alpha_min`` stays infinite and :meth:`to_dp` converts it with the
+    zCDP bound, the uncapped branch of :func:`rs_eps`.  Each admission or
+    charge is priced once and kept as one :class:`LedgerRecord` in
+    ``records``, so an rs epoch of 100 iterations of 4 releases is one
+    record, not 400; the records are how a ledger is read.  Every entry
+    point, :meth:`replay` included, charges through one helper, so
+    :meth:`replay` reproduces the records and totals bit for bit.
 
     ``steps`` is a read-only per-release view of the records, and a ledger
     can be built from given records, ``steps``, with its rf total
@@ -341,9 +342,7 @@ class PrivacyLedger:
 
     def to_dp(self, delta: float) -> EpsDelta:
         """Convert the cumulative cost to an (eps, delta) guarantee; eps is 0 if empty."""
-        if self.mode == "rf":
-            return zcdp_to_dp(self.rho_sum, delta)
-        return EpsDelta(rs_eps(self.rho_hat, self.u_alpha_min, delta), delta)
+        return EpsDelta(rs_eps(self.total_rho, self.u_alpha_min, delta), delta)
 
     def replay(self) -> "PrivacyLedger":
         """Rebuild a fresh ledger from the records, pricing each once and

@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-max", type=float, default=30.0)
     p.add_argument("--sigma-step", type=float, default=0.001)
     p.add_argument("--q-step", type=float, default=0.001)
-    p.add_argument("--alpha-cap", type=int, default=200)
+    p.add_argument("--alpha-cap", type=int, default=renyi.ORDER_CAP)
     p.add_argument("--smoke", action="store_true", help="coarse grid: sigma step 1.0, q step 0.005")
     p.add_argument("--point", nargs=2, type=float, metavar=("Q", "SIGMA"), default=None)
     p.add_argument("--out", required=True)

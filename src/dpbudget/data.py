@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 
-CANCER_FEATURES = 9
 CANCER_FEATURE_SCALE = 10.0  # features are integer-valued 1..10
 
 

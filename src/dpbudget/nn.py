@@ -307,7 +307,11 @@ def sgd_step(model: MlpModel, gradients: List[np.ndarray], eta: float) -> MlpMod
 
 
 def save_checkpoint(model: MlpModel, path: str) -> None:
-    """Versioned header + JSON layer sizes + row-major float64 parameters."""
+    """Versioned header + JSON layer sizes + row-major float64 parameters.
+    A model with a NaN or infinite parameter raises :class:`DomainError`
+    and nothing is written."""
+    if not np.isfinite(model.params).all():
+        raise DomainError("model has non-finite parameters; no checkpoint is written")
     header = json.dumps({"layer_sizes": model.layer_sizes})
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC.encode() + b"\n")
@@ -318,8 +322,8 @@ def save_checkpoint(model: MlpModel, path: str) -> None:
 def load_checkpoint(path: str) -> MlpModel:
     """The model that :func:`save_checkpoint` wrote to ``path``.  A file
     that is not one, down to layer sizes that are not a list of at least two
-    integers, the first nonnegative and the rest positive, raises
-    :class:`ParseError`."""
+    integers, the first nonnegative and the rest positive, or parameters
+    that are not all finite, raises :class:`ParseError`."""
     with open(path, "rb") as fh:
         magic = fh.readline().strip()
         if magic != CHECKPOINT_MAGIC.encode():
@@ -336,6 +340,9 @@ def load_checkpoint(path: str) -> MlpModel:
     shapes = list(zip(sizes[:-1], sizes[1:]))
     if len(blob) != 8 * sum((fan_in + 1) * fan_out for fan_in, fan_out in shapes):
         raise ParseError("checkpoint payload does not match the declared shapes")
+    params = np.frombuffer(blob, dtype=np.float64)
+    if not np.isfinite(params).all():
+        raise ParseError("checkpoint holds non-finite parameters")
     model = MlpModel([np.empty(shape) for shape in shapes], [np.empty(fan_out) for _, fan_out in shapes])
-    model.params[:] = np.frombuffer(blob, dtype=np.float64)
+    model.params[:] = params
     return model

@@ -34,8 +34,9 @@ from .errors import DomainError, NumericalError
 # Work on at most this many (row, column) entries at a time, so that large
 # order caps or epoch counts keep bounded temporaries.
 _BLOCK_ENTRIES = 1 << 16
-# Highest moment order of the accountant and of the bound validation.
-_ORDER_CAP = 200
+#: Highest moment order of the accountant and of the bound validation, and
+#: the default of ``dpbudget validate-bound --alpha-cap``.
+ORDER_CAP = 200
 # exp(x) rounds to exactly 0.0 for every double x below this (to 0.0 from
 # about -745.13 down).
 _EXP_ZERO = -746.0
@@ -126,7 +127,7 @@ def subsampled_renyi_divergence(q: float, sigma: float, alpha: float) -> float:
     return float(_log_moments(q, sigma, int(alpha), int(alpha))[0]) / (alpha - 1.0)
 
 
-def divergence_changepoint(q: float, sigma: float, alpha_max: int = _ORDER_CAP) -> int:
+def divergence_changepoint(q: float, sigma: float, alpha_max: int = ORDER_CAP) -> int:
     """First integer order at which the divergence-vs-order curve takes off.
 
     The curve hugs zero while sampling amplification is in effect and then
@@ -147,7 +148,7 @@ def divergence_changepoint(q: float, sigma: float, alpha_max: int = _ORDER_CAP) 
 def default_lambda_max(q: float, sigma: float) -> int:
     """Largest moment order used by the accountant,
     ``min(ceil(sigma^2 log(1/(q sigma))), 200)``."""
-    return min(int(math.ceil(rs_order_cap(q, sigma) - 1.0)), _ORDER_CAP)
+    return min(int(math.ceil(rs_order_cap(q, sigma) - 1.0)), ORDER_CAP)
 
 
 def moments_accountant_eps(q: float, sigma: float, steps: int, delta: float) -> EpsDelta:
@@ -233,7 +234,7 @@ def validate_moment_bound(
     sigmas: Sequence[float],
     q_step: float = 0.001,
     q_start: Optional[float] = None,
-    alpha_cap: int = _ORDER_CAP,
+    alpha_cap: int = ORDER_CAP,
 ) -> BoundReport:
     """Check ``D_alpha <= q^2 alpha / sigma^2`` numerically over a grid.
 

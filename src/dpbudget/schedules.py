@@ -107,10 +107,6 @@ def poly_decay(sigma0: float, sigma_end: float, k: float, period: int) -> NoiseS
     return NoiseSchedule("poly", sigma0, k=k, period=period, sigma_end=sigma_end)
 
 
-def validation_decay(sigma0: float, k: float, period: int, delta_thresh: float, m: int) -> NoiseSchedule:
-    return NoiseSchedule("validation", sigma0, k=k, period=period, delta_thresh=delta_thresh, m=m)
-
-
 def _sigma_formula(schedule: NoiseSchedule) -> Callable[[int], float]:
     """``t -> sigma_t`` for a deterministic schedule, its kind read once."""
     kind, sigma0, k, period, sigma_end = schedule.kind, schedule.sigma0, schedule.k, schedule.period, schedule.sigma_end
@@ -161,8 +157,8 @@ class ValidationController:
     def sigma(self) -> float:
         return self.schedule.sigma0 * self.schedule.k ** self.n_triggers
 
-    def observe(self, accuracy: float) -> float:
-        """Record one validation accuracy; returns the sigma to use next."""
+    def observe(self, accuracy: float) -> None:
+        """Record one validation accuracy; :attr:`sigma` is then the sigma to use next."""
         self.history.append(float(accuracy))
         n = len(self.history)
         if n % self.schedule.period == 0 and n >= self.schedule.m:
@@ -171,7 +167,6 @@ class ValidationController:
             if avg - self.last_checked_avg <= self.schedule.delta_thresh:
                 self.n_triggers += 1
             self.last_checked_avg = avg
-        return self.sigma
 
 
 def epochs_until_exhaustion(schedule: NoiseSchedule, rho_total: float, max_epochs: int = 1_000_000) -> int:

@@ -28,7 +28,7 @@ def _check_eps(eps: float) -> None:
 def _probabilities(z_scores: Sequence[float], eps: float) -> List[float]:
     """Normalized exp(-eps z / 2) weights as Python floats, shifted by the
     largest log weight before exponentiating so that none overflows; the
-    one computation behind the probabilities and the draw."""
+    computation behind the draw."""
     if len(z_scores) == 0:
         raise UsageError("selection requires at least one candidate")
     _check_eps(eps)
@@ -46,11 +46,6 @@ def _probabilities(z_scores: Sequence[float], eps: float) -> List[float]:
     w = [math.exp(x - peak) for x in log_w]
     total = sum(w)
     return [x / total for x in w]
-
-
-def selection_probabilities(z_scores: Sequence[float], eps: float) -> np.ndarray:
-    """The probability of each candidate, proportional to exp(-eps z / 2)."""
-    return np.array(_probabilities(z_scores, eps))
 
 
 def exp_mechanism_select(z_scores: Sequence[float], eps: float, rng: np.random.Generator) -> int:

@@ -59,6 +59,13 @@ class TestZcdpToDp:
             with pytest.raises(DomainError):
                 accounting.zcdp_to_dp(0.1, delta)
 
+    @settings(max_examples=500, deadline=None)
+    @given(rho=st.floats(0.0, 1e6), delta=st.floats(1e-300, 1.0, exclude_max=True))
+    @example(rho=0.0, delta=1e-5)
+    def test_closed_form_bit_for_bit(self, rho, delta):
+        # the uncapped branch of rs_eps is the zCDP conversion, to the last bit
+        assert accounting.zcdp_to_dp(rho, delta).eps == rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
+
     @pytest.mark.parametrize("rho", [-1.0, math.nan, math.inf])
     def test_rejects_bad_rho(self, rho):
         with pytest.raises(DomainError, match="rho must be"):
@@ -134,7 +141,10 @@ class TestRsConversion:
 
     @pytest.mark.parametrize(
         "rho_hat,u_alpha,message",
-        [(-1.0, 10.0, "rho_hat"), (math.nan, 10.0, "rho_hat"), (0.1, 1.0, "u_alpha"), (0.1, math.nan, "u_alpha")],
+        [
+            (-1.0, 10.0, "rho_hat"), (math.nan, 10.0, "rho_hat"), (math.inf, 5.0, "rho_hat"), (math.inf, math.inf, "rho_hat"),
+            (0.1, 1.0, "u_alpha"), (0.1, math.nan, "u_alpha"),
+        ],
     )
     def test_rejects_bad_inputs(self, rho_hat, u_alpha, message):
         # NaN fails every comparison, so a check written as `x < 0` lets it through
@@ -190,6 +200,16 @@ class TestRfLedger:
         replayed = ledger.replay()
         assert replayed.rho_sum == ledger.rho_sum
         assert replayed.records == ledger.records
+
+    def test_converts_with_no_order_cap(self):
+        # no rf charge lowers the cap, so to_dp takes the uncapped branch of rs_eps
+        ledger = PrivacyLedger("rf")
+        for epoch, sigma in enumerate((10.0, 9.0, 5.5, 2.0, 8.0)):
+            ledger.charge_rf_epoch(sigma, epoch=epoch)
+            ledger.admit(sigma, budget=1.0)
+            assert ledger.u_alpha_min == math.inf
+            for delta in (1e-5, 1e-12, 0.5):
+                assert ledger.to_dp(delta) == accounting.zcdp_to_dp(ledger.rho_sum, delta)
 
 
 class TestRsLedger:
@@ -685,7 +705,7 @@ class TestRsChargeCoversExactRenyi:
                 continue
             admitted.append((q, sigma, releases))
         assume(admitted and ledger.u_alpha_min >= 2.0)  # some integer order to check
-        alpha_max = min(math.floor(ledger.u_alpha_min), renyi._ORDER_CAP)
+        alpha_max = min(math.floor(ledger.u_alpha_min), renyi.ORDER_CAP)
         alphas = np.arange(2, alpha_max + 1)
         composed = sum(releases * renyi._log_moments(q, sigma, alpha_max) for q, sigma, releases in admitted)
         assert np.all(composed <= (alphas - 1.0) * alphas * ledger.rho_hat)

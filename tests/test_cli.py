@@ -216,6 +216,17 @@ class TestRsSigmaFloor:
     def test_grid_starts_at_the_floor(self):
         args = cli.build_parser().parse_args(["validate-bound", "--out", "x"])
         assert args.sigma_min == accounting.RS_SIGMA_MIN
+        assert args.alpha_cap == renyi.ORDER_CAP
+
+    def test_grid_below_floor_skips_pairs_with_no_integer_order(self, tmp_path):
+        # 89 of the 125 pairs at sigma 0.5 have an order cap below 2; the other
+        # 36 check order 2 alone and break the bound
+        out = tmp_path / "grid.json"
+        assert run(["validate-bound", "--sigma-min", "0.5", "--sigma-max", "0.5", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["points_checked"] == len(payload["violations"]) == 36
+        assert {v["alpha"] for v in payload["violations"]} == {2}
+        assert len({(v["q"], v["sigma"]) for v in payload["violations"]}) == 36
 
     def test_decaying_rs_train_exits_3_when_sigma_crosses_the_floor(self, tmp_path, capsys):
         # sigma 4 e^-t falls below 2 in epoch 1; the budget would allow far more

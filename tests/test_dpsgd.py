@@ -330,7 +330,7 @@ class TestTrainRf:
         ds = small_blobs()
         train_set, rest = data.train_test_split(ds, 80, seed=0)
         val_set, test_set = data.train_test_split(rest, 20, seed=1)
-        sched = schedules.validation_decay(10.0, 0.5, period=1, delta_thresh=1.0, m=1)
+        sched = schedules.NoiseSchedule("validation", 10.0, k=0.5, period=1, delta_thresh=1.0, m=1)
         # threshold 1.0 means every check triggers: sigma halves each epoch
         config = TrainConfig(
             schedule=sched,
@@ -345,7 +345,7 @@ class TestTrainRf:
 
     def test_validation_schedule_requires_data(self):
         ds = small_blobs()
-        sched = schedules.validation_decay(10.0, 0.5, 1, 0.01, 1)
+        sched = schedules.NoiseSchedule("validation", 10.0, k=0.5, period=1, delta_thresh=0.01, m=1)
         config = TrainConfig(schedule=sched, clip_norm=1.0, max_epochs=2, seed=0, rho_total=1.0)
         with pytest.raises(ConfigError):
             train(config, ds, nn.MlpModel.init([2, 8, 2], seed=0))

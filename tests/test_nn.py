@@ -266,6 +266,21 @@ class TestFlatStorage:
         with pytest.raises(ParseError, match="line 1"):
             nn.load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, tmp_path, bad):
+        # a NaN or infinite parameter is not saved, and a file holding one does not load
+        model = nn.MlpModel.init([3, 2, 3], seed=4)
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(model, str(path))
+        saved = path.read_bytes()
+        model.params[[1, 16]] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            nn.save_checkpoint(model, str(tmp_path / "never.ckpt"))
+        assert not (tmp_path / "never.ckpt").exists()
+        path.write_bytes(saved[: len(saved) - 8 * model.n_params] + model.params.tobytes())
+        with pytest.raises(ParseError, match="non-finite"):
+            nn.load_checkpoint(str(path))
+
     @pytest.mark.parametrize("sizes", [[0, 3], [0, 2, 1]])
     def test_no_input_layers_load(self, tmp_path, sizes):
         model = nn.MlpModel.init(sizes, seed=1)

@@ -234,7 +234,7 @@ def _grid_points(n, seed):
     for _ in range(n):
         sigma = float(rng.uniform(2.0, 30.0))
         q = float(rng.uniform(1e-4, 1.0 / (16.0 * sigma)))
-        cap = min(renyi._ORDER_CAP, math.floor(accounting.rs_order_cap(q, sigma)))
+        cap = min(renyi.ORDER_CAP, math.floor(accounting.rs_order_cap(q, sigma)))
         points.append((q, sigma, int(rng.integers(2, cap + 1))))
     return points
 
@@ -354,6 +354,18 @@ class TestBoundValidation:
         report = renyi.validate_moment_bound([2.0, 3.0], q_step=0.01, alpha_cap=50)
         assert report.n_points > 0
         assert not report.violations
+
+    def test_pairs_with_no_integer_order_are_skipped(self):
+        # at sigma 0.5 the order cap sigma^2 log(1/(q sigma)) + 1 falls below 2
+        # from q of about 0.037 up: those pairs have no order to check, and
+        # each pair left checks order 2 alone, which breaks the bound below the floor
+        grid = renyi.moment_bound_grid([0.5])
+        no_order = {(q, sigma) for q, sigma in grid if accounting.rs_order_cap(q, sigma) < 2.0}
+        assert (len(grid), len(no_order)) == (125, 89)
+        report = renyi.validate_moment_bound([0.5])
+        assert report.n_points == len(report.violations) == 36
+        assert {(v.q, v.sigma) for v in report.violations} == set(grid) - no_order
+        assert {v.alpha for v in report.violations} == {2}
 
     def test_empty_grid(self):
         # q floor above 1/(16 sigma) leaves nothing to check

@@ -19,7 +19,6 @@ from dpbudget.schedules import (
     step_decay,
     time_decay,
     uniform,
-    validation_decay,
 )
 
 BUDGET = 0.78125
@@ -137,7 +136,7 @@ class TestSigmaAt:
             sigma_at(uniform(8.0), -1)
 
     def test_validation_kind_needs_controller(self):
-        sched = validation_decay(10.0, 0.7, 10, 0.01, 5)
+        sched = NoiseSchedule("validation", 10.0, k=0.7, period=10, delta_thresh=0.01, m=5)
         with pytest.raises(UsageError):
             sigma_at(sched, 0)
 
@@ -173,7 +172,7 @@ class TestScheduleValidation:
             (step_decay(10.0, 0.6, 10), {"kind": "step", "sigma0": 10.0, "k": 0.6, "period": 10}),
             (poly_decay(10.0, 2.0, 3.0, 100), {"kind": "poly", "sigma0": 10.0, "k": 3.0, "period": 100, "sigma_end": 2.0}),
             (
-                validation_decay(10.0, 0.7, 10, 0.01, 5),
+                NoiseSchedule("validation", 10.0, k=0.7, period=10, delta_thresh=0.01, m=5),
                 {"kind": "validation", "sigma0": 10.0, "k": 0.7, "period": 10, "delta_thresh": 0.01, "m": 5},
             ),
         ],
@@ -230,11 +229,11 @@ class TestScheduleKeys:
 
 class TestValidationController:
     def make(self, k=0.7, period=1, m=1, thresh=0.01):
-        return ValidationController(validation_decay(10.0, k, period, thresh, m))
+        return ValidationController(NoiseSchedule("validation", 10.0, k=k, period=period, delta_thresh=thresh, m=m))
 
     def test_small_improvement_triggers_decay(self):
         ctrl = self.make()
-        ctrl.observe(0.90)  # vs initial 0 -> improvement 0.9, no trigger
+        assert ctrl.observe(0.90) is None  # vs initial 0 -> improvement 0.9, no trigger
         assert ctrl.sigma == 10.0
         ctrl.observe(0.905)  # improvement 0.005 <= 0.01 -> decay
         assert ctrl.sigma == pytest.approx(7.0)
@@ -260,7 +259,7 @@ class TestValidationController:
         assert ctrl.sigma == 10.0 * 0.7 ** ctrl.n_triggers
 
     def test_window_and_period_gating(self):
-        ctrl = ValidationController(validation_decay(10.0, 0.7, 3, 0.01, 2))
+        ctrl = ValidationController(NoiseSchedule("validation", 10.0, k=0.7, period=3, delta_thresh=0.01, m=2))
         # checks fire only every 3 observations and need >= 2 history entries
         ctrl.observe(0.1)
         ctrl.observe(0.2)
@@ -341,7 +340,7 @@ class TestExhaustion:
 
     def test_validation_kind_rejected(self):
         with pytest.raises(UsageError):
-            epochs_until_exhaustion(validation_decay(10.0, 0.7, 10, 0.01, 5), BUDGET)
+            epochs_until_exhaustion(NoiseSchedule("validation", 10.0, k=0.7, period=10, delta_thresh=0.01, m=5), BUDGET)
 
 
 DECAY_RATE_TABLE = {

@@ -8,6 +8,11 @@ from dpbudget import data, nn, selection
 from dpbudget.errors import DomainError, UsageError
 
 
+def probabilities(z_scores, eps):
+    """The probabilities that the draw of ``exp_mechanism_select`` reads, as an array."""
+    return np.array(selection._probabilities(z_scores, eps))
+
+
 def oracle_probabilities(z_scores, eps):
     """The mechanism as first written on numpy arrays, the oracle for the
     float computation: it agrees to the last bits, since ``math.exp`` is not
@@ -24,36 +29,36 @@ def oracle_select(z_scores, eps, rng):
 
 class TestSelectionProbabilities:
     def test_eps_zero_is_uniform(self):
-        p = selection.selection_probabilities([0, 10, 55], 0.0)
+        p = probabilities([0, 10, 55], 0.0)
         assert np.allclose(p, 1.0 / 3.0)
 
     def test_equal_scores_uniform(self):
-        p = selection.selection_probabilities([7, 7, 7, 7], 1.0)
+        p = probabilities([7, 7, 7, 7], 1.0)
         assert np.allclose(p, 0.25)
 
     def test_probabilities_sum_to_one(self):
-        p = selection.selection_probabilities([0, 3, 100, 2000], 0.5)
+        p = probabilities([0, 3, 100, 2000], 0.5)
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_shift_invariance(self):
-        a = selection.selection_probabilities([0, 10, 4], 1.0)
-        b = selection.selection_probabilities([100, 110, 104], 1.0)
+        a = probabilities([0, 10, 4], 1.0)
+        b = probabilities([100, 110, 104], 1.0)
         assert np.allclose(a, b, atol=1e-15)
 
     def test_two_candidate_ratio(self):
-        p = selection.selection_probabilities([0, 10], 1.0)
+        p = probabilities([0, 10], 1.0)
         assert p[0] / p[1] == pytest.approx(math.exp(5.0), rel=1e-9)
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
-            selection.selection_probabilities([], 1.0)
+            probabilities([], 1.0)
         with pytest.raises(DomainError):
-            selection.selection_probabilities([1, 2], -0.5)
+            probabilities([1, 2], -0.5)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
     def test_non_finite_eps_rejected(self, eps):
         with pytest.raises(DomainError):
-            selection.selection_probabilities([0, 3], eps)
+            probabilities([0, 3], eps)
         with pytest.raises(DomainError):
             selection.exp_mechanism_select([0, 3], eps, np.random.default_rng(0))
         with pytest.raises(DomainError):
@@ -68,7 +73,7 @@ class TestSelectionProbabilities:
         eps=st.floats(0.0, 10.0),
     )
     def test_matches_numpy_oracle(self, z_scores, eps):
-        p = selection.selection_probabilities(z_scores, eps)
+        p = probabilities(z_scores, eps)
         # relative to the smallest normal double below it, where an ulp is absolute
         np.testing.assert_allclose(p, oracle_probabilities(z_scores, eps), rtol=1e-14, atol=1e-14 * np.finfo(float).tiny)
         assert p.dtype == np.float64 and p.shape == (len(z_scores),)
@@ -82,7 +87,7 @@ class TestSelectionProbabilities:
     def test_non_finite_or_non_numeric_scores_rejected(self, z_scores):
         # a NaN or infinite score would void the eps-DP claim, so nothing is drawn
         with pytest.raises(DomainError):
-            selection.selection_probabilities(z_scores, 1.0)
+            probabilities(z_scores, 1.0)
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError):
             selection.exp_mechanism_select(z_scores, 1.0, rng)
@@ -92,15 +97,15 @@ class TestSelectionProbabilities:
     def test_overflowing_log_weights_rejected(self, z_scores):
         # finite scores whose -eps z / 2 overflows would shift to NaN weights
         with pytest.raises(DomainError):
-            selection.selection_probabilities(z_scores, 10.0)
+            probabilities(z_scores, 10.0)
         with pytest.raises(DomainError):
             selection.exp_mechanism_select(z_scores, 10.0, np.random.default_rng(0))
-        assert selection.selection_probabilities([0, 1e308], 10.0).tolist() == [1.0, 0.0]
+        assert probabilities([0, 1e308], 10.0).tolist() == [1.0, 0.0]
 
     def test_large_scores_do_not_underflow(self):
         # exp(-eps z / 2) is 0.0 in float64 for both scores; the weights
         # shifted by the largest log weight are not
-        p = selection.selection_probabilities([2000, 2002], 1.0)
+        p = probabilities([2000, 2002], 1.0)
         assert p[0] / p[1] == pytest.approx(math.e, rel=1e-12)
 
 
@@ -109,7 +114,7 @@ class TestExpMechanismDraws:
         # the pick is the first cdf entry above one rng.random() value, so a
         # seeded generator's stream fixes the picks
         rng, reference = np.random.default_rng(3), np.random.default_rng(3)
-        cdf = np.cumsum(selection.selection_probabilities([0, 2, 4, 8], 0.5))
+        cdf = np.cumsum(probabilities([0, 2, 4, 8], 0.5))
         for _ in range(200):
             expected = int(np.searchsorted(cdf, reference.random(), side="right"))
             assert selection.exp_mechanism_select([0, 2, 4, 8], 0.5, rng) == expected
